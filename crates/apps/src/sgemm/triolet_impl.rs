@@ -36,9 +36,9 @@ pub fn run_triolet(rt: &Triolet, input: &SgemmInput) -> Run<Array2<f32>> {
     let mut run = rt.build_array2(zipped_ab.map(move |(u, v): (RowRef<f32>, RowRef<f32>)| {
         alpha * dot_rows(u.as_slice(), v.as_slice())
     }));
-    // Total time (and the trace timeline) includes the transpose phase.
-    run.stats.total_s += t.stats.total_s;
-    run.stats.root_s += t.stats.root_s;
+    // Stats (time and traffic) and the trace timeline include the
+    // transpose phase.
+    run.stats = t.stats.then(run.stats);
     let mut trace = t.trace;
     trace.then(run.trace);
     run.trace = trace;
@@ -85,13 +85,9 @@ pub fn run_triolet_tiled(rt: &Triolet, input: &SgemmInput) -> Run<Array2<f32>> {
         }
     }
 
-    let mut run = Run::new(c, blocks.stats).with_trace(blocks.trace);
-    run.stats.total_s += t.stats.total_s;
-    run.stats.root_s += t.stats.root_s;
     let mut trace = t.trace;
-    trace.then(run.trace);
-    run.trace = trace;
-    run
+    trace.then(blocks.trace);
+    Run::new(c, t.stats.then(blocks.stats)).with_trace(trace)
 }
 
 /// Concrete type of the sgemm outer-product indexer.

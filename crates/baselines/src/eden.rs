@@ -187,7 +187,7 @@ impl EdenRt {
                 }
             })
             .collect();
-        let out = self.cluster.run_raw(tasks);
+        let out = self.cluster.run_raw(tasks, 0);
         let t0 = Instant::now();
         let value = out.results.into_iter().reduce(merge).unwrap_or_else(empty);
         let root_s = t0.elapsed().as_secs_f64();
@@ -250,7 +250,7 @@ impl EdenRt {
                 }
             })
             .collect();
-        let out = self.cluster.run_raw(tasks);
+        let out = self.cluster.run_raw(tasks, 0);
         let t0 = Instant::now();
         let value = out.results.into_iter().reduce(merge).unwrap_or_else(empty);
         let root_s = t0.elapsed().as_secs_f64();

@@ -78,7 +78,7 @@ impl LowLevelRt {
     where
         R: Wire + Send,
     {
-        let out = self.cluster.run_raw(tasks);
+        let out = self.cluster.run_raw(tasks, 0);
         let t0 = Instant::now();
         let value = combine(out.results);
         let root_s = t0.elapsed().as_secs_f64();

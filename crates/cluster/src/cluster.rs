@@ -1,5 +1,14 @@
 //! The cluster itself: scatter work to nodes, gather results, account time.
 //!
+//! Every dispatch runs in four steps. *Plan*: the fault schedule decides
+//! every message's fate up front — each task's route, every environment
+//! edge — through one attempt loop, `transmit`. *Account*: each planned
+//! message is charged to the traffic counters by one function. *Execute*:
+//! each task body runs exactly once, on the rank its route ends at. *Time
+//! and draw*: the virtual arm lays the plan on the simulator's clock, the
+//! measured arm on the wall clock, and both draw it with one emitter that
+//! differs only in where each message lands.
+//!
 //! With an active [`FaultPlan`] the dispatcher also *recovers*: a rank that
 //! never acknowledges its task payload (scheduled drops, or a crash) is
 //! detected by timeout after the plan's retry budget, and the task is
@@ -12,14 +21,15 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use triolet_obs::{tree_edge_args, TraceData, TraceHandle, Track};
+use bytes::Bytes;
+use triolet_obs::{tree_edge_args, ArgValue, TraceData, TraceHandle, Track};
 use triolet_pool::ThreadPool;
 use triolet_serial::{packed, unpack_all, unpack_counters, Wire, WireError};
 
 use crate::cost::{CostModel, DistTiming, TrafficStats};
 use crate::fault::FaultPlan;
 use crate::node::{ExecMode, NodeCtx, ResidentStore};
-use crate::sim::{self, SimCore, SimEnvEdge, SimProblem, SimTask};
+use crate::sim::{self, SimCore, SimEnvEdge, SimProblem, SimTask, SimTimes};
 use crate::tree;
 
 /// Pseudo-rank of the root in fault-schedule coordinates (the root is not a
@@ -33,28 +43,10 @@ const RET_TAG: u32 = 1;
 const ENV_TAG: u32 = 2;
 /// Fault-schedule tag for resident-segment scatter payloads.
 const SEG_TAG: u32 = 3;
-/// Attempt cap on scatter edges (like the env/return paths: both endpoints
-/// are treated as alive, so only a near-1.0 drop rate can exhaust this).
-const SEG_ATTEMPT_CAP: u32 = 10_000;
-/// Attempt cap on environment-broadcast edges. Both endpoints of every edge
-/// are alive by construction (participants are executing ranks), so like the
-/// return path this only trips on a near-1.0 drop rate.
-const ENV_ATTEMPT_CAP: u32 = 10_000;
-/// Attempt cap on the return path. Executing ranks are alive by
-/// construction and the root never gives up on them, so only a plan with a
-/// drop rate of essentially 1.0 can hit this.
-const RETURN_ATTEMPT_CAP: u32 = 10_000;
-
-/// Run `f` and return its result plus the `(copied, aliased)` unpack byte
-/// deltas it produced on this thread — the root-side accounting hook for the
-/// zero-copy unpack path. Must run on the thread doing the unpacking (the
-/// counters are thread-local).
-fn with_unpack_delta<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let (c0, a0) = unpack_counters();
-    let out = f();
-    let (c1, a1) = unpack_counters();
-    (out, c1.wrapping_sub(c0), a1.wrapping_sub(a0))
-}
+/// Attempt cap on messages between two live endpoints (environment edges,
+/// results, segment scatters). The sender never declares a live peer dead,
+/// so only a drop rate of essentially 1.0 can exhaust it.
+const LIVE_ATTEMPT_CAP: u32 = 10_000;
 
 /// How one-to-all payloads (the broadcast environment) are routed.
 ///
@@ -94,10 +86,8 @@ pub enum PipelineMode {
 
 /// A result payload gathered at the root failed to decode.
 ///
-/// The pre-PR-4 dispatcher panicked (`expect("result roundtrip")`) here;
-/// like the comm layer's recv/gather (`CommError::Decode`), a damaged or
-/// mistyped result now surfaces as a typed error through the `try_*`
-/// entry points instead.
+/// A damaged or mistyped result surfaces as this typed error through
+/// [`Cluster::try_run`] instead of a panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DispatchError {
     /// Task `task`'s result bytes did not decode as the expected type.
@@ -318,11 +308,19 @@ impl<'a, R> RawTask<'a, R> {
     }
 }
 
-/// How one task's payload traveled from the root: one entry per rank tried.
-struct Hop {
-    /// The rank this hop targeted.
-    dest: usize,
-    /// Transmission attempts to this rank (1 + retries).
+/// A node task body, once its route has been planned.
+type Work<'a, R> = Box<dyn FnOnce(&NodeCtx<'_>) -> R + Send + 'a>;
+
+/// Trace arguments of one span or event.
+type Args = Vec<(&'static str, ArgValue)>;
+
+/// What the fault schedule does to one message: how many attempts it takes
+/// and what became of them. Every message a dispatch models — task payload
+/// hops, environment edges, results, segment scatters — is planned into one
+/// of these by [`transmit`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Delivery {
+    /// Transmission attempts (1 + retries).
     attempts: u32,
     /// Attempts that additionally arrived twice.
     dups: u32,
@@ -330,31 +328,101 @@ struct Hop {
     drops: u32,
     /// Attempts damaged in flight.
     corrupts: u32,
-    /// Whether the final attempt arrived intact (false => moved on).
+    /// Whether the final attempt arrived intact and was acknowledged.
     delivered: bool,
 }
 
-impl Hop {
-    fn failed_attempts(&self) -> u32 {
-        self.attempts - u32::from(self.delivered)
+impl Delivery {
+    /// Copies that crossed the wire: every attempt plus every duplicate.
+    fn copies(&self) -> u64 {
+        u64::from(self.attempts + self.dups)
+    }
+
+    /// Retransmissions after the first attempt.
+    fn retries(&self) -> u32 {
+        self.attempts - 1
+    }
+
+    /// Modeled seconds on the sender's NIC: every copy pays the edge time
+    /// `dt`, every unacknowledged attempt one acknowledgement timeout.
+    fn wire_s(&self, dt: f64, timeout_s: f64) -> f64 {
+        let timeouts = self.attempts - u32::from(self.delivered);
+        dt * self.copies() as f64 + timeout_s * timeouts as f64
     }
 }
 
-/// The full (pre-computed, deterministic) route of one task.
+/// Plan one message from `from` to `to` through the fault schedule: retry
+/// until an attempt arrives intact at a receiver that acknowledges it, or
+/// `cap` attempts are spent. A crashed receiver takes delivery but never
+/// acknowledges, so callers pass `acks = false` for it.
+fn transmit(
+    plan: &FaultPlan,
+    from: usize,
+    to: usize,
+    tag: u32,
+    seq: u64,
+    cap: u32,
+    acks: bool,
+) -> Delivery {
+    if !plan.is_active() {
+        return Delivery { attempts: 1, delivered: true, ..Delivery::default() };
+    }
+    let mut d = Delivery::default();
+    for attempt in 0..cap {
+        d.attempts += 1;
+        let f = plan.decide(from, to, tag, seq, attempt);
+        if !f.deliver {
+            d.drops += 1;
+            continue;
+        }
+        if f.duplicate {
+            d.dups += 1;
+        }
+        if f.corrupt {
+            d.corrupts += 1;
+            continue;
+        }
+        if acks {
+            d.delivered = true;
+            break;
+        }
+    }
+    d
+}
+
+/// [`transmit`] between two live endpoints: the sender retries past the
+/// plan's budget rather than declaring its peer dead.
+fn transmit_live(plan: &FaultPlan, from: usize, to: usize, tag: u32, seq: u64) -> Delivery {
+    let d = transmit(plan, from, to, tag, seq, LIVE_ATTEMPT_CAP, true);
+    assert!(d.delivered, "fault plan never delivers message {seq} (tag {tag}) to rank {to}");
+    d
+}
+
+/// One rank a task's payload was sent to.
+struct Hop {
+    /// The rank this hop targeted.
+    dest: usize,
+    /// Input bytes the payload occupies on this hop.
+    bytes: usize,
+    d: Delivery,
+}
+
+/// The full (pre-computed, deterministic) route of one task, plus what the
+/// timeline needs of the task once its body has been handed off.
 struct TaskRoute {
     /// The rank that finally executes the task.
     exec: usize,
+    /// Every rank tried, in order; only the last one delivered.
     hops: Vec<Hop>,
-    retries: u64,
-    redispatches: u64,
+    pack_s: f64,
+    resident: Option<ResidentSpec>,
 }
 
-/// The result's trip back to the root.
-struct ReturnRoute {
-    attempts: u32,
-    dups: u32,
-    drops: u32,
-    corrupts: u32,
+impl TaskRoute {
+    /// Moves to the next candidate rank: one per undelivered hop.
+    fn redispatches(&self) -> u64 {
+        self.hops.len() as u64 - 1
+    }
 }
 
 /// Decide, purely from the fault schedule, where task `i` ends up running.
@@ -364,58 +432,16 @@ struct ReturnRoute {
 /// budget. Moving to the next candidate is one redispatch. The fault
 /// schedule is keyed on the task index `i`, not the home rank, so a
 /// resident and a re-broadcast run of the same call see the same faults.
-fn plan_route(plan: &FaultPlan, n_nodes: usize, home: usize, i: usize) -> TaskRoute {
-    if !plan.is_active() {
-        return TaskRoute {
-            exec: home,
-            hops: vec![Hop {
-                dest: home,
-                attempts: 1,
-                dups: 0,
-                drops: 0,
-                corrupts: 0,
-                delivered: true,
-            }],
-            retries: 0,
-            redispatches: 0,
-        };
-    }
-    let mut candidates = vec![home];
-    for off in 1..n_nodes {
-        let r = (home + off) % n_nodes;
-        if !plan.crashed(r) {
-            candidates.push(r);
-        }
-    }
+fn plan_route<R>(plan: &FaultPlan, n_nodes: usize, i: usize, t: &RawTask<'_, R>) -> TaskRoute {
+    let home = t.home(i);
+    let survivors = (1..n_nodes).map(|off| (home + off) % n_nodes).filter(|&r| !plan.crashed(r));
     let mut hops = Vec::new();
-    let mut retries = 0u64;
-    for (ci, &dest) in candidates.iter().enumerate() {
-        let mut hop = Hop { dest, attempts: 0, dups: 0, drops: 0, corrupts: 0, delivered: false };
-        for attempt in 0..=plan.max_retries {
-            hop.attempts += 1;
-            retries += u64::from(attempt > 0);
-            let d = plan.decide(ROOT, dest, FWD_TAG, i as u64, attempt);
-            if !d.deliver {
-                hop.drops += 1;
-                continue;
-            }
-            if d.duplicate {
-                hop.dups += 1;
-            }
-            if d.corrupt {
-                hop.corrupts += 1;
-                continue;
-            }
-            if !plan.crashed(dest) {
-                hop.delivered = true;
-                break;
-            }
-            // Crashed ranks receive but never acknowledge: keep retrying.
-        }
-        let delivered = hop.delivered;
-        hops.push(hop);
-        if delivered {
-            return TaskRoute { exec: dest, hops, retries, redispatches: ci as u64 };
+    for dest in std::iter::once(home).chain(survivors) {
+        let budget = plan.max_retries.saturating_add(1);
+        let d = transmit(plan, ROOT, dest, FWD_TAG, i as u64, budget, !plan.crashed(dest));
+        hops.push(Hop { dest, bytes: t.hop_bytes(dest), d });
+        if d.delivered {
+            return TaskRoute { exec: dest, hops, pack_s: t.pack_s, resident: t.resident };
         }
     }
     panic!(
@@ -424,65 +450,24 @@ fn plan_route(plan: &FaultPlan, n_nodes: usize, home: usize, i: usize) -> TaskRo
     );
 }
 
-/// Decide how many attempts task `i`'s result needs to reach the root from
-/// `exec`. Both endpoints are alive, so the sender retries past the normal
-/// budget rather than declaring the root dead.
-fn plan_return(plan: &FaultPlan, exec: usize, i: usize) -> ReturnRoute {
-    let mut ret = ReturnRoute { attempts: 0, dups: 0, drops: 0, corrupts: 0 };
-    if !plan.is_active() {
-        ret.attempts = 1;
-        return ret;
-    }
-    for attempt in 0..RETURN_ATTEMPT_CAP {
-        ret.attempts += 1;
-        let d = plan.decide(exec, ROOT, RET_TAG, i as u64, attempt);
-        if !d.deliver {
-            ret.drops += 1;
-            continue;
-        }
-        if d.duplicate {
-            ret.dups += 1;
-        }
-        if d.corrupt {
-            ret.corrupts += 1;
-            continue;
-        }
-        return ret;
-    }
-    panic!("fault plan never lets task {i}'s result reach the root");
-}
-
 /// One planned edge of the environment broadcast. Positions index the
-/// participant list (`0` = root, `1..` = executing ranks); the fault
-/// outcomes are decided up front from the schedule, like task routes.
+/// participant list (`0` = root, `1..` = executing ranks).
 struct EnvEdge {
     sender_pos: usize,
     dest_pos: usize,
+    /// Sender's rank ([`ROOT`] for the root).
+    sender: usize,
+    dest: usize,
     /// Destination's depth below the root (1 for every linear edge).
     depth: u32,
     /// Sender's child count (its serialized send burst).
     fanout: usize,
-    attempts: u32,
-    dups: u32,
-    drops: u32,
-    corrupts: u32,
-}
-
-impl EnvEdge {
-    fn copies(&self) -> u64 {
-        (self.attempts + self.dups) as u64
-    }
-
-    fn failed(&self) -> u32 {
-        self.attempts - 1
-    }
+    d: Delivery,
 }
 
 /// Plan the environment broadcast over `participants` (ranks; index 0 is the
-/// root's pseudo-rank slot). Every edge retries through the fault schedule
-/// until it delivers intact — both endpoints are alive by construction — so
-/// the edge list is a pure function of the plan, ready for both the
-/// mode-independent traffic accounting and virtual-time charging.
+/// root's pseudo-rank slot). Both endpoints of every edge are alive by
+/// construction, so each edge retries until it delivers intact.
 fn plan_env_edges(plan: &FaultPlan, topology: Topology, participants: &[usize]) -> Vec<EnvEdge> {
     let m = participants.len();
     let shape: Vec<(usize, usize, u32, usize)> = match topology {
@@ -495,41 +480,244 @@ fn plan_env_edges(plan: &FaultPlan, topology: Topology, participants: &[usize]) 
     shape
         .into_iter()
         .map(|(s, c, depth, fanout)| {
-            let sender_rank = if s == 0 { ROOT } else { participants[s] };
-            let dest_rank = participants[c];
-            let mut edge = EnvEdge {
-                sender_pos: s,
-                dest_pos: c,
-                depth,
-                fanout,
-                attempts: 0,
-                dups: 0,
-                drops: 0,
-                corrupts: 0,
-            };
-            if !plan.is_active() {
-                edge.attempts = 1;
-                return edge;
-            }
-            for attempt in 0..ENV_ATTEMPT_CAP {
-                edge.attempts += 1;
-                let d = plan.decide(sender_rank, dest_rank, ENV_TAG, c as u64, attempt);
-                if !d.deliver {
-                    edge.drops += 1;
-                    continue;
-                }
-                if d.duplicate {
-                    edge.dups += 1;
-                }
-                if d.corrupt {
-                    edge.corrupts += 1;
-                    continue;
-                }
-                return edge;
-            }
-            panic!("fault plan never delivers the environment to rank {dest_rank}");
+            let sender = if s == 0 { ROOT } else { participants[s] };
+            let dest = participants[c];
+            let d = transmit_live(plan, sender, dest, ENV_TAG, c as u64);
+            EnvEdge { sender_pos: s, dest_pos: c, sender, dest, depth, fanout, d }
         })
         .collect()
+}
+
+/// One dispatch's wire totals, accumulated as each planned message is
+/// charged.
+#[derive(Default)]
+struct Tally {
+    bytes_out: u64,
+    bytes_back: u64,
+    messages: u64,
+    retries: u64,
+    redispatches: u64,
+    resident_hits: u64,
+    resident_misses: u64,
+}
+
+impl Tally {
+    fn timing(
+        self,
+        total_s: f64,
+        comm_s: f64,
+        node_compute_s: Vec<f64>,
+        (unpack_copied, unpack_aliased): (u64, u64),
+    ) -> DistTiming {
+        DistTiming {
+            total_s,
+            comm_s,
+            node_compute_s,
+            bytes_out: self.bytes_out,
+            bytes_back: self.bytes_back,
+            messages: self.messages,
+            retries: self.retries,
+            redispatches: self.redispatches,
+            resident_hits: self.resident_hits,
+            resident_misses: self.resident_misses,
+            unpack_copied,
+            unpack_aliased,
+        }
+    }
+}
+
+/// Where one planned message is drawn on the dispatch timeline.
+#[derive(Clone, Copy)]
+enum Place {
+    /// A modeled transfer: a span from `start` to `done`, its fault marks
+    /// one edge time `dt` apart.
+    Span { start: f64, done: f64, dt: f64 },
+    /// A wall-clock instant: a point event, its fault marks at the same
+    /// time.
+    At(f64),
+}
+
+impl Place {
+    fn end(self) -> f64 {
+        match self {
+            Place::Span { done, .. } => done,
+            Place::At(t) => t,
+        }
+    }
+
+    fn draw(self, tr: &TraceHandle, name: &'static str, track: Track, args: Args) {
+        match self {
+            Place::Span { start, done, .. } => tr.span(name, "comm", track, start, done, args),
+            Place::At(t) => tr.event(name, "comm", track, t, args),
+        }
+    }
+
+    /// Record `count` fault events named `name`, one per attempt position.
+    /// Their placement inside a span is a model decoration; the counts are
+    /// exact.
+    fn marks(self, tr: &TraceHandle, name: &'static str, count: u32, track: Track, args: &Args) {
+        for k in 0..count {
+            let t = match self {
+                Place::Span { start, dt, .. } => start + dt * (k + 1) as f64,
+                Place::At(t) => t,
+            };
+            tr.event(name, "fault", track, t, args.clone());
+        }
+    }
+
+    /// The retry, drop, corrupt, and duplicate marks of one delivery.
+    fn faults(self, tr: &TraceHandle, d: &Delivery, track: Track, args: Args) {
+        self.marks(tr, "retry", d.retries(), track, &args);
+        self.marks(tr, "drop", d.drops, track, &args);
+        self.marks(tr, "corrupt", d.corrupts, track, &args);
+        self.marks(tr, "duplicate", d.dups, track, &args);
+    }
+}
+
+/// When each forward message lands: the only thing the two execution arms
+/// draw differently.
+enum Clock<'t> {
+    /// The virtual arm: spans laid by the simulator core.
+    Modeled { times: &'t SimTimes, env_dt: &'t [f64], hop_dt: &'t [f64], tasks: &'t [SimTask] },
+    /// The measured arm: every in-process send is an instant after packing.
+    Wall(f64),
+}
+
+impl Clock<'_> {
+    fn env(&self, e: usize) -> Place {
+        match self {
+            Clock::Modeled { times, env_dt, .. } => {
+                let (start, done) = times.env_bounds[e];
+                Place::Span { start, done, dt: env_dt[e] }
+            }
+            Clock::Wall(t) => Place::At(*t),
+        }
+    }
+
+    fn hop(&self, h: usize) -> Place {
+        match self {
+            Clock::Modeled { times, hop_dt, .. } => {
+                let (start, done) = times.hop_bounds[h];
+                Place::Span { start, done, dt: hop_dt[h] }
+            }
+            Clock::Wall(t) => Place::At(*t),
+        }
+    }
+
+    /// Task `i`'s own pack span, charged right before its first send (the
+    /// streamed virtual timeline only).
+    fn pack(&self, i: usize) -> Option<(f64, f64)> {
+        match self {
+            Clock::Modeled { times, tasks, .. } if tasks[i].pack_s > 0.0 => {
+                Some((times.pack_start[i], times.pack_start[i] + tasks[i].pack_s))
+            }
+            _ => None,
+        }
+    }
+
+    /// When task `i`'s payload finished leaving the root.
+    fn sent(&self, i: usize) -> f64 {
+        match self {
+            Clock::Modeled { times, .. } => times.send_done[i],
+            Clock::Wall(t) => *t,
+        }
+    }
+}
+
+/// Everything the fault schedule decides about one dispatch, fixed before
+/// any task runs. Both execution arms time and draw this same plan.
+struct Plan {
+    routes: Vec<TaskRoute>,
+    /// The root plus every executing rank, when an environment ships.
+    n_participants: usize,
+    env: Vec<EnvEdge>,
+    bcast_bytes: usize,
+    tally: Tally,
+}
+
+impl Plan {
+    /// Draw the forward leg: every environment edge, then per task its pack,
+    /// its sends with their fault marks and redispatches, and its resident
+    /// hit or miss.
+    fn draw_forward(&self, tr: &TraceHandle, clock: &Clock<'_>) {
+        if !tr.enabled() {
+            return;
+        }
+        for (idx, e) in self.env.iter().enumerate() {
+            let place = clock.env(idx);
+            let track = if e.sender_pos == 0 { Track::Root } else { Track::Node(e.sender) };
+            let mut args = tree_edge_args(e.dest, ENV_TAG, e.depth, e.fanout);
+            args.push(("bytes", self.bcast_bytes.into()));
+            args.push(("attempts", u64::from(e.d.attempts).into()));
+            place.draw(tr, "comm:tree", track, args);
+            place.faults(tr, &e.d, track, vec![("dest", e.dest.into())]);
+        }
+        let mut h = 0;
+        for (i, route) in self.routes.iter().enumerate() {
+            if let Some((s0, s1)) = clock.pack(i) {
+                tr.span("root:pack", "prep", Track::Root, s0, s1, vec![("task", i.into())]);
+            }
+            for (k, hop) in route.hops.iter().enumerate() {
+                let place = clock.hop(h);
+                h += 1;
+                let args = vec![
+                    ("task", i.into()),
+                    ("dest", hop.dest.into()),
+                    ("bytes", hop.bytes.into()),
+                    ("attempts", u64::from(hop.d.attempts).into()),
+                ];
+                place.draw(tr, "send", Track::Root, args);
+                place.faults(
+                    tr,
+                    &hop.d,
+                    Track::Root,
+                    vec![("task", i.into()), ("dest", hop.dest.into())],
+                );
+                if let Some(next) = route.hops.get(k + 1) {
+                    tr.event(
+                        "redispatch",
+                        "fault",
+                        Track::Root,
+                        place.end(),
+                        vec![
+                            ("task", i.into()),
+                            ("from", hop.dest.into()),
+                            ("to", next.dest.into()),
+                        ],
+                    );
+                }
+            }
+            if let Some(spec) = route.resident {
+                let name = if route.exec == spec.home {
+                    "dist:resident-hit"
+                } else {
+                    "dist:resident-miss"
+                };
+                tr.event(
+                    name,
+                    "dist",
+                    Track::Root,
+                    clock.sent(i),
+                    vec![
+                        ("task", i.into()),
+                        ("seg", spec.id.into()),
+                        ("home", spec.home.into()),
+                        ("exec", route.exec.into()),
+                    ],
+                );
+            }
+        }
+    }
+}
+
+/// Decode task `task`'s result bytes at the root, with the `(copied,
+/// aliased)` unpack bytes it moved. Must run on the thread doing the
+/// unpacking (the counters are thread-local).
+fn decode<R: Wire>(task: usize, rb: Bytes) -> Result<(R, (u64, u64)), DispatchError> {
+    let (c0, a0) = unpack_counters();
+    let r = unpack_all(rb).map_err(|source| DispatchError::Decode { task, source })?;
+    let (c1, a1) = unpack_counters();
+    Ok((r, (c1.wrapping_sub(c0), a1.wrapping_sub(a0))))
 }
 
 /// A simulated cluster of multicore nodes.
@@ -594,6 +782,37 @@ impl Cluster {
         &self.resident
     }
 
+    /// Charge one planned message of `bytes` to the cumulative counters and
+    /// to `tally`; returns the bytes it put on the wire.
+    fn account(&self, d: &Delivery, bytes: usize, tally: &mut Tally) -> u64 {
+        for _ in 0..d.copies() {
+            self.stats.record(bytes);
+        }
+        for _ in 0..d.drops {
+            self.stats.record_dropped();
+        }
+        for _ in 0..d.corrupts {
+            self.stats.record_corrupted();
+        }
+        for _ in 0..d.dups {
+            self.stats.record_duplicated();
+        }
+        for _ in 0..d.retries() {
+            self.stats.record_retry();
+        }
+        tally.messages += d.copies();
+        tally.retries += u64::from(d.retries());
+        bytes as u64 * d.copies()
+    }
+
+    fn trace_handle(&self) -> TraceHandle {
+        if self.config.trace {
+            TraceHandle::recording()
+        } else {
+            TraceHandle::disabled()
+        }
+    }
+
     /// Scatter the segments of a persistent collection to their home ranks:
     /// one `(rank, bytes)` send per segment, serialized on the root NIC,
     /// each retrying through the fault schedule until delivered intact.
@@ -607,113 +826,41 @@ impl Cluster {
     /// `dist:scatter` span.
     pub fn scatter_segments(&self, id: u64, segs: &[(usize, usize)]) -> (DistTiming, TraceData) {
         let plan = self.config.faults;
-        let cost = self.config.cost;
         let timeout_s = plan.timeout.as_secs_f64();
-        let tr = if self.config.trace { TraceHandle::recording() } else { TraceHandle::disabled() };
+        let tr = self.trace_handle();
+        let mut tally = Tally::default();
         let mut clock = 0.0f64;
-        let mut comm_s = 0.0f64;
-        let mut bytes_out = 0u64;
-        let mut messages = 0u64;
-        let mut retries = 0u64;
         for &(rank, bytes) in segs {
             self.resident.register(id, rank, bytes);
             self.stats.record_seg_scatter();
-            // Plan the edge like an env edge: both endpoints treated alive
-            // (crash interaction happens at *call* time, via redispatch).
-            let mut attempts = 0u32;
-            let mut dups = 0u32;
-            let mut drops = 0u32;
-            let mut corrupts = 0u32;
-            for attempt in 0..SEG_ATTEMPT_CAP {
-                attempts += 1;
-                if !plan.is_active() {
-                    break;
-                }
-                let d = plan.decide(ROOT, rank, SEG_TAG, rank as u64, attempt);
-                if !d.deliver {
-                    drops += 1;
-                    continue;
-                }
-                if d.duplicate {
-                    dups += 1;
-                }
-                if d.corrupt {
-                    corrupts += 1;
-                    continue;
-                }
-                break;
-            }
-            let copies = (attempts + dups) as u64;
-            for _ in 0..copies {
-                self.stats.record(bytes);
-            }
-            for _ in 0..drops {
-                self.stats.record_dropped();
-            }
-            for _ in 0..corrupts {
-                self.stats.record_corrupted();
-            }
-            for _ in 0..dups {
-                self.stats.record_duplicated();
-            }
-            let failed = (attempts - 1) as u64;
-            for _ in 0..failed {
-                self.stats.record_retry();
-            }
-            messages += copies;
-            bytes_out += bytes as u64 * copies;
-            retries += failed;
-            let dt = cost.edge_time(ROOT, rank, bytes);
-            let edge_s = dt * copies as f64 + timeout_s * failed as f64;
+            // Both endpoints are treated as alive: crashes interact with a
+            // resident collection at *call* time, via redispatch.
+            let d = transmit_live(&plan, ROOT, rank, SEG_TAG, rank as u64);
+            tally.bytes_out += self.account(&d, bytes, &mut tally);
+            let edge_s = d.wire_s(self.config.cost.edge_time(ROOT, rank, bytes), timeout_s);
             if tr.enabled() {
-                tr.span(
-                    "send",
-                    "comm",
-                    Track::Root,
-                    clock,
-                    clock + edge_s,
-                    vec![
-                        ("seg", id.into()),
-                        ("dest", rank.into()),
-                        ("bytes", bytes.into()),
-                        ("attempts", (attempts as u64).into()),
-                    ],
-                );
+                let args = vec![
+                    ("seg", id.into()),
+                    ("dest", rank.into()),
+                    ("bytes", bytes.into()),
+                    ("attempts", u64::from(d.attempts).into()),
+                ];
+                tr.span("send", "comm", Track::Root, clock, clock + edge_s, args);
             }
             clock += edge_s;
-            comm_s += edge_s;
         }
         if tr.enabled() {
-            tr.span(
-                "dist:scatter",
-                "dist",
-                Track::Root,
-                0.0,
-                clock,
-                vec![
-                    ("seg", id.into()),
-                    ("segments", segs.len().into()),
-                    ("bytes", bytes_out.into()),
-                ],
-            );
+            let args = vec![
+                ("seg", id.into()),
+                ("segments", segs.len().into()),
+                ("bytes", tally.bytes_out.into()),
+            ];
+            tr.span("dist:scatter", "dist", Track::Root, 0.0, clock, args);
         }
-        (
-            DistTiming {
-                total_s: clock,
-                comm_s,
-                node_compute_s: vec![0.0; self.config.nodes],
-                bytes_out,
-                bytes_back: 0,
-                messages,
-                retries,
-                redispatches: 0,
-                resident_hits: 0,
-                resident_misses: 0,
-                unpack_copied: 0,
-                unpack_aliased: 0,
-            },
-            tr.take(),
-        )
+        // Segment sends are serialized on the root NIC: the scatter is all
+        // communication.
+        let timing = tally.timing(clock, clock, vec![0.0; self.config.nodes], (0, 0));
+        (timing, tr.take())
     }
 
     /// Scatter `payloads` (one per node, at most `nodes()`), run `task` on
@@ -776,7 +923,7 @@ impl Cluster {
                 }
             })
             .collect();
-        self.dispatch(tasks, 0.0, 0)
+        self.dispatch(tasks, 0)
     }
 
     /// Run the same (cloned) payload on every node: the broadcast pattern.
@@ -798,74 +945,23 @@ impl Cluster {
     /// real node — while `wire_bytes` declares the payload size for the cost
     /// model and traffic accounting. Each task must route its compute
     /// through the provided [`NodeCtx`] so virtual time observes it.
-    pub fn run_raw<'a, R>(&self, tasks: Vec<RawTask<'a, R>>) -> DistOutcome<R>
-    where
-        R: Wire + Send,
-    {
-        self.try_run_raw(tasks).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run_raw`](Self::run_raw), surfacing root-side decode failures as
-    /// [`DispatchError`] instead of panicking.
-    pub fn try_run_raw<'a, R>(
-        &self,
-        tasks: Vec<RawTask<'a, R>>,
-    ) -> Result<DistOutcome<R>, DispatchError>
-    where
-        R: Wire + Send,
-    {
-        assert!(
-            tasks.len() <= self.config.nodes,
-            "more tasks ({}) than nodes ({})",
-            tasks.len(),
-            self.config.nodes
-        );
-        self.dispatch(tasks, 0.0, 0)
-    }
-
-    /// Like [`run_raw`](Self::run_raw), but additionally charges one
-    /// `bcast_bytes`-sized shared payload (the packed closure environment)
-    /// broadcast from the root to every *executing* rank over the
-    /// configured [`Topology`] before any slice payload goes out.
     ///
-    /// The environment is accounted once per broadcast edge — not once per
-    /// task — and in virtual time a task cannot start before its rank
-    /// holds the environment. `bcast_bytes == 0` (the unit environment)
+    /// `bcast_bytes` is one shared payload (the packed closure environment)
+    /// broadcast from the root to every *executing* rank over the configured
+    /// [`Topology`] before any slice payload goes out. It is accounted once
+    /// per broadcast edge — not once per task — and in virtual time a task
+    /// cannot start before its rank holds it. `0` (the unit environment)
     /// charges nothing.
-    pub fn run_raw_with_broadcast<'a, R>(
-        &self,
-        tasks: Vec<RawTask<'a, R>>,
-        bcast_bytes: usize,
-    ) -> DistOutcome<R>
+    pub fn run_raw<R>(&self, tasks: Vec<RawTask<'_, R>>, bcast_bytes: usize) -> DistOutcome<R>
     where
         R: Wire + Send,
     {
-        self.try_run_raw_with_broadcast(tasks, bcast_bytes).unwrap_or_else(|e| panic!("{e}"))
+        self.dispatch(tasks, bcast_bytes).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`run_raw_with_broadcast`](Self::run_raw_with_broadcast), surfacing
-    /// root-side decode failures as [`DispatchError`] instead of panicking.
-    pub fn try_run_raw_with_broadcast<'a, R>(
-        &self,
-        tasks: Vec<RawTask<'a, R>>,
-        bcast_bytes: usize,
-    ) -> Result<DistOutcome<R>, DispatchError>
-    where
-        R: Wire + Send,
-    {
-        assert!(
-            tasks.len() <= self.config.nodes,
-            "more tasks ({}) than nodes ({})",
-            tasks.len(),
-            self.config.nodes
-        );
-        self.dispatch(tasks, 0.0, bcast_bytes)
-    }
-
-    /// The one dispatcher behind `run` and `run_raw`: plan every task's
-    /// route through the fault schedule, execute each task once on its
-    /// final rank, account all traffic (including lost/duplicated attempts
-    /// and retransmissions), and gather results in task order.
+    /// The one dispatcher behind `run` and `run_raw`: plan every message
+    /// through the fault schedule, execute each task once on its final rank,
+    /// and gather results in task order.
     ///
     /// Under [`PipelineMode::Streamed`] the root's own pack/unpack work is
     /// pipelined against node compute: task k+1's pack is charged right
@@ -874,859 +970,497 @@ impl Cluster {
     /// [`PipelineMode::Barrier`] keeps the serial prologue/epilogue. Both
     /// modes produce bit-identical results and traffic accounting — a
     /// redispatched task's result still lands in its original task slot.
-    fn dispatch<'a, R>(
+    fn dispatch<R>(
         &self,
-        tasks: Vec<RawTask<'a, R>>,
-        root_prep_s: f64,
+        tasks: Vec<RawTask<'_, R>>,
         bcast_bytes: usize,
     ) -> Result<DistOutcome<R>, DispatchError>
     where
         R: Wire + Send,
     {
-        let plan = self.config.faults;
+        assert!(
+            tasks.len() <= self.config.nodes,
+            "more tasks ({}) than nodes ({})",
+            tasks.len(),
+            self.config.nodes
+        );
+        let (plan, works) = self.plan(tasks, bcast_bytes);
+        match self.config.mode {
+            ExecMode::Virtual => self.run_virtual(plan, works),
+            ExecMode::Measured => self.run_measured(plan, works),
+        }
+    }
+
+    /// Plan and account the forward leg — every task's route, then the
+    /// environment broadcast to the ranks the routes end at. The schedule,
+    /// not the executor, decides what happens on the wire, so both arms
+    /// account identical traffic.
+    fn plan<'a, R>(
+        &self,
+        tasks: Vec<RawTask<'a, R>>,
+        bcast_bytes: usize,
+    ) -> (Plan, Vec<Work<'a, R>>) {
+        let faults = self.config.faults;
         let n_nodes = self.config.nodes;
-        let n_tasks = tasks.len();
-        if plan.is_active() {
+        if faults.is_active() {
             assert!(
-                (0..n_nodes).any(|r| !plan.crashed(r)),
+                (0..n_nodes).any(|r| !faults.crashed(r)),
                 "fault plan crashes every node: nothing can recover"
             );
         }
-        let routes: Vec<TaskRoute> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| plan_route(&plan, n_nodes, t.home(i), i))
-            .collect();
-
-        // Forward-path traffic and fault-event accounting (mode-independent:
-        // the schedule, not the executor, decides what happens on the wire).
-        // Resident tasks pay per-hop bytes: the control descriptor (plus any
-        // halo) to the home rank, the full segment only when redispatch
-        // forces execution off-home.
-        let mut bytes_out = 0u64;
-        let mut messages = 0u64;
-        let mut retries = 0u64;
-        let mut redispatches = 0u64;
-        let mut resident_hits = 0u64;
-        let mut resident_misses = 0u64;
-        for (t, route) in tasks.iter().zip(&routes) {
+        let mut tally = Tally::default();
+        let mut routes = Vec::with_capacity(tasks.len());
+        let mut works = Vec::with_capacity(tasks.len());
+        for (i, t) in tasks.into_iter().enumerate() {
+            let route = plan_route(&faults, n_nodes, i, &t);
             for hop in &route.hops {
-                let w = t.hop_bytes(hop.dest);
-                let copies = (hop.attempts + hop.dups) as u64;
-                for _ in 0..copies {
-                    self.stats.record(w);
-                }
-                messages += copies;
-                bytes_out += w as u64 * copies;
-                for _ in 0..hop.drops {
-                    self.stats.record_dropped();
-                }
-                for _ in 0..hop.corrupts {
-                    self.stats.record_corrupted();
-                }
-                for _ in 0..hop.dups {
-                    self.stats.record_duplicated();
-                }
+                tally.bytes_out += self.account(&hop.d, hop.bytes, &mut tally);
             }
-            for _ in 0..route.retries {
-                self.stats.record_retry();
-            }
-            for _ in 0..route.redispatches {
+            for _ in 0..route.redispatches() {
                 self.stats.record_redispatch();
             }
-            retries += route.retries;
-            redispatches += route.redispatches;
-            if let Some(spec) = t.resident {
+            tally.redispatches += route.redispatches();
+            if let Some(spec) = route.resident {
                 if route.exec == spec.home {
                     self.stats.record_resident_hit();
-                    resident_hits += 1;
+                    tally.resident_hits += 1;
                 } else {
                     self.stats.record_resident_miss();
-                    resident_misses += 1;
+                    tally.resident_misses += 1;
                 }
             }
+            routes.push(route);
+            works.push(t.work);
         }
 
         // Environment broadcast: one shared payload reaches every executing
-        // rank, routed by the configured topology. Planned up front like
-        // task routes, so both modes account identical traffic.
+        // rank, routed by the configured topology.
         let mut participants: Vec<usize> = Vec::new();
-        let env_edges: Vec<EnvEdge> = if bcast_bytes > 0 && n_tasks > 0 {
-            let mut execs: Vec<usize> = routes.iter().map(|r| r.exec).collect();
-            execs.sort_unstable();
-            execs.dedup();
+        if bcast_bytes > 0 && !routes.is_empty() {
             participants.push(ROOT);
-            participants.extend(execs);
-            plan_env_edges(&plan, self.config.topology, &participants)
-        } else {
-            Vec::new()
-        };
-        for e in &env_edges {
-            for _ in 0..e.copies() {
-                self.stats.record(bcast_bytes);
-            }
-            messages += e.copies();
-            bytes_out += bcast_bytes as u64 * e.copies();
-            for _ in 0..e.drops {
-                self.stats.record_dropped();
-            }
-            for _ in 0..e.corrupts {
-                self.stats.record_corrupted();
-            }
-            for _ in 0..e.dups {
-                self.stats.record_duplicated();
-            }
-            for _ in 0..e.failed() {
-                self.stats.record_retry();
-            }
-            retries += e.failed() as u64;
+            participants.extend(routes.iter().map(|r| r.exec));
+            participants[1..].sort_unstable();
+            participants.dedup();
         }
+        let env = plan_env_edges(&faults, self.config.topology, &participants);
+        for e in &env {
+            tally.bytes_out += self.account(&e.d, bcast_bytes, &mut tally);
+        }
+        let plan = Plan { routes, n_participants: participants.len(), env, bcast_bytes, tally };
+        (plan, works)
+    }
 
+    /// The virtual arm: run every task once, clockless, then lay the plan on
+    /// the simulator's clock and draw it.
+    fn run_virtual<R>(
+        &self,
+        mut plan: Plan,
+        works: Vec<Work<'_, R>>,
+    ) -> Result<DistOutcome<R>, DispatchError>
+    where
+        R: Wire + Send,
+    {
+        let faults = self.config.faults;
         let cost = self.config.cost;
-        let timeout_s = plan.timeout.as_secs_f64();
-        let tpn = self.config.threads_per_node;
-        let tr = if self.config.trace { TraceHandle::recording() } else { TraceHandle::disabled() };
-        if root_prep_s > 0.0 {
-            tr.span("root:pack", "prep", Track::Root, 0.0, root_prep_s, vec![]);
-        }
-        // Root-side pack seconds, measured per task. `Barrier` charges the
-        // sum as one prologue lump before anything leaves the root (the
-        // pre-pipeline timeline); `Streamed` charges each task's share
-        // right before its own send, so rank k's compute overlaps the pack
-        // for rank k+1.
-        let total_pack: f64 = tasks.iter().map(|t| t.pack_s).sum();
+        let timeout_s = faults.timeout.as_secs_f64();
+        let n_tasks = works.len();
+        let streamed = self.config.pipeline == PipelineMode::Streamed;
+        let tr = self.trace_handle();
 
-        match self.config.mode {
-            ExecMode::Virtual => {
-                let streamed = self.config.pipeline == PipelineMode::Streamed;
-                // Root prologue: prep runs first; `Barrier` additionally
-                // charges the whole pack lump before anything leaves.
-                let mut start_clock = root_prep_s;
-                if !streamed && total_pack > 0.0 {
+        // Root prologue: `Barrier` charges the whole pack lump before
+        // anything leaves; `Streamed` charges each task's share right before
+        // its own send, so rank k's compute overlaps the pack for rank k+1.
+        let total_pack: f64 = plan.routes.iter().map(|r| r.pack_s).sum();
+        let mut start_clock = 0.0;
+        if !streamed && total_pack > 0.0 {
+            tr.span("root:pack", "prep", Track::Root, 0.0, total_pack, vec![]);
+            start_clock = total_pack;
+        }
+
+        // --- Reduce the dispatch to pure durations (a SimProblem). comm_s
+        // accumulates in canonical order — environment edges, then task
+        // hops, then returns below — so the breakdown is bit-identical
+        // whichever core lays the timeline.
+        let mut comm_s = 0.0f64;
+        let mut sim_env: Vec<SimEnvEdge> = Vec::with_capacity(plan.env.len());
+        let mut env_dt: Vec<f64> = Vec::with_capacity(plan.env.len());
+        for e in &plan.env {
+            let dt = cost.edge_time(e.sender, e.dest, plan.bcast_bytes);
+            let edge_s = e.d.wire_s(dt, timeout_s);
+            comm_s += edge_s;
+            env_dt.push(dt);
+            sim_env.push(SimEnvEdge {
+                sender_pos: e.sender_pos,
+                dest_pos: e.dest_pos,
+                dest_rank: e.dest,
+                edge_s,
+            });
+        }
+        let mut hop_s: Vec<f64> = Vec::new();
+        let mut hop_dt: Vec<f64> = Vec::new();
+        let mut sim_tasks: Vec<SimTask> = Vec::with_capacity(n_tasks);
+        for route in &plan.routes {
+            let h0 = hop_s.len();
+            for hop in &route.hops {
+                let dt = cost.edge_time(ROOT, hop.dest, hop.bytes);
+                let s = hop.d.wire_s(dt, timeout_s);
+                comm_s += s;
+                hop_s.push(s);
+                hop_dt.push(dt);
+            }
+            sim_tasks.push(SimTask {
+                pack_s: if streamed { route.pack_s } else { 0.0 },
+                exec: route.exec,
+                elapsed: 0.0, // measured below, once the task has run
+                ret_s: 0.0,   // filled once result sizes are known
+                hops: h0..hop_s.len(),
+            });
+        }
+
+        // --- Execute every task once, in task order. Execution is
+        // clockless: results and wall-measured node seconds feed the
+        // simulator; they never depend on it.
+        let mut node_compute = vec![0.0f64; self.config.nodes];
+        let mut results_bytes = Vec::with_capacity(n_tasks);
+        let mut sub_traces = Vec::with_capacity(n_tasks);
+        for (i, work) in works.into_iter().enumerate() {
+            let exec = plan.routes[i].exec;
+            let node_tr =
+                if tr.enabled() { TraceHandle::recording() } else { TraceHandle::disabled() };
+            let ctx = NodeCtx::new(exec, self.config.threads_per_node, ExecMode::Virtual, None)
+                .with_trace(node_tr);
+            let result = work(&ctx);
+            let rb = ctx.sequential_labeled("pack", "prep", || packed(&result));
+            let elapsed = ctx.elapsed();
+            node_compute[exec] += elapsed;
+            sim_tasks[i].elapsed = elapsed;
+            sub_traces.push(ctx.take_trace());
+            results_bytes.push(rb);
+        }
+
+        // Return trips, planned and accounted in task order (the third leg
+        // of the canonical comm_s order).
+        let mut returns: Vec<(Delivery, f64)> = Vec::with_capacity(n_tasks);
+        for (i, rb) in results_bytes.iter().enumerate() {
+            let exec = plan.routes[i].exec;
+            let ret = transmit_live(&faults, exec, ROOT, RET_TAG, i as u64);
+            plan.tally.bytes_back += self.account(&ret, rb.len(), &mut plan.tally);
+            let rdt = cost.edge_time(exec, ROOT, rb.len());
+            let path_s = ret.wire_s(rdt, timeout_s);
+            comm_s += path_s;
+            sim_tasks[i].ret_s = path_s;
+            returns.push((ret, rdt));
+        }
+
+        // --- Lay the dispatch on the virtual clock (optionally with both
+        // cores, asserting bitwise agreement).
+        let problem = SimProblem {
+            start_clock,
+            n_nodes: self.config.nodes,
+            n_participants: plan.n_participants,
+            env_edges: &sim_env,
+            hop_s: &hop_s,
+            tasks: &sim_tasks,
+        };
+        let times = {
+            let mut scratch = self.sim_scratch.lock().expect("sim scratch poisoned");
+            if self.config.sim_check {
+                let eager = sim::run_eager(&problem, &mut scratch);
+                let event = sim::run_event(&problem, &mut scratch);
+                sim::assert_cores_agree(&eager, &event);
+                if self.config.core == SimCore::Eager {
+                    eager
+                } else {
+                    event
+                }
+            } else {
+                sim::run(self.config.core, &problem, &mut scratch)
+            }
+        };
+        self.stats.record_sim(times.events, times.peak_heap as u64);
+        let finish = times.ret_done.iter().fold(0.0f64, |a, &b| a.max(b));
+
+        // --- Draw the timeline.
+        let clock =
+            Clock::Modeled { times: &times, env_dt: &env_dt, hop_dt: &hop_dt, tasks: &sim_tasks };
+        plan.draw_forward(&tr, &clock);
+        if tr.enabled() {
+            for (i, mut sub) in sub_traces.into_iter().enumerate() {
+                let (start, done) = times.node_bounds[i];
+                sub.shift(start);
+                tr.absorb(sub);
+                let track = Track::Node(plan.routes[i].exec);
+                tr.span("node:task", "dispatch", track, start, done, vec![("task", i.into())]);
+            }
+            for (i, (ret, rdt)) in returns.iter().enumerate() {
+                let exec = plan.routes[i].exec;
+                let place = Place::Span {
+                    start: times.node_bounds[i].1,
+                    done: times.ret_done[i],
+                    dt: *rdt,
+                };
+                let args = vec![
+                    ("task", i.into()),
+                    ("from", exec.into()),
+                    ("bytes", results_bytes[i].len().into()),
+                    ("attempts", u64::from(ret.attempts).into()),
+                ];
+                place.draw(&tr, "return", Track::Root, args);
+                let args = vec![("task", i.into()), ("from", exec.into())];
+                place.marks(&tr, "retry", ret.retries(), Track::Root, &args);
+            }
+        }
+
+        // --- Root epilogue.
+        let mut arrivals = vec![0.0f64; n_tasks];
+        let mut moved_total = (0u64, 0u64);
+        let mut results: Vec<R> = Vec::with_capacity(n_tasks);
+        let total_s = if streamed {
+            // The root (one core) unpacks results in arrival order, each
+            // the moment it lands — early results are ready while late
+            // nodes still compute, so most of the unpack cost hides inside
+            // the network tail. Ties break on task index so the processing
+            // order is deterministic.
+            let mut order: Vec<usize> = (0..n_tasks).collect();
+            order.sort_by(|&a, &b| {
+                times.ret_done[a]
+                    .partial_cmp(&times.ret_done[b])
+                    .expect("arrival times are finite")
+                    .then(a.cmp(&b))
+            });
+            let mut uclock = times.root_free; // root free after last send
+            let mut slots: Vec<Option<R>> = (0..n_tasks).map(|_| None).collect();
+            let mut spans = vec![(0.0f64, 0.0f64, (0u64, 0u64)); n_tasks];
+            for &i in &order {
+                uclock = uclock.max(times.ret_done[i]);
+                let t1 = Instant::now();
+                let (r, moved) = decode(i, std::mem::take(&mut results_bytes[i]))?;
+                let u = t1.elapsed().as_secs_f64();
+                moved_total = (moved_total.0 + moved.0, moved_total.1 + moved.1);
+                slots[i] = Some(r);
+                spans[i] = (uclock, uclock + u, moved);
+                uclock += u;
+                arrivals[i] = uclock;
+            }
+            // Spans are emitted in task order (not arrival order) so the
+            // recorded line order is a pure function of the inputs,
+            // independent of measured unpack durations.
+            if tr.enabled() {
+                for (i, &(s0, s1, moved)) in spans.iter().enumerate() {
                     tr.span(
-                        "root:pack",
+                        "root:unpack",
                         "prep",
                         Track::Root,
-                        start_clock,
-                        start_clock + total_pack,
-                        vec![],
+                        s0,
+                        s1,
+                        unpack_args(Some(i), moved),
                     );
-                    start_clock += total_pack;
                 }
-
-                // --- Reduce the dispatch to pure durations (a SimProblem).
-                // comm_s accumulates in canonical order — environment edges,
-                // then task hops, then returns below — so the breakdown is
-                // bit-identical whichever core lays the timeline.
-                let mut comm_s = 0.0f64;
-                let mut sim_env: Vec<SimEnvEdge> = Vec::with_capacity(env_edges.len());
-                let mut env_dt: Vec<f64> = Vec::with_capacity(env_edges.len());
-                for e in &env_edges {
-                    let sender_rank =
-                        if e.sender_pos == 0 { ROOT } else { participants[e.sender_pos] };
-                    let dest_rank = participants[e.dest_pos];
-                    let dt = cost.edge_time(sender_rank, dest_rank, bcast_bytes);
-                    let edge_s = dt * e.copies() as f64 + timeout_s * e.failed() as f64;
-                    comm_s += edge_s;
-                    env_dt.push(dt);
-                    sim_env.push(SimEnvEdge {
-                        sender_pos: e.sender_pos,
-                        dest_pos: e.dest_pos,
-                        dest_rank,
-                        edge_s,
-                    });
-                }
-                let n_hops: usize = routes.iter().map(|r| r.hops.len()).sum();
-                let mut hop_s: Vec<f64> = Vec::with_capacity(n_hops);
-                let mut hop_dt: Vec<f64> = Vec::with_capacity(n_hops);
-                let mut hop_wire: Vec<usize> = Vec::with_capacity(n_hops);
-                let mut pack_s_v: Vec<f64> = Vec::with_capacity(n_tasks);
-                let mut resident_v: Vec<Option<ResidentSpec>> = Vec::with_capacity(n_tasks);
-                let mut sim_tasks: Vec<SimTask> = Vec::with_capacity(n_tasks);
-                for (t, route) in tasks.iter().zip(&routes) {
-                    let h0 = hop_s.len();
-                    for hop in &route.hops {
-                        let w = t.hop_bytes(hop.dest);
-                        let dt = cost.edge_time(ROOT, hop.dest, w);
-                        let s = dt * (hop.attempts + hop.dups) as f64
-                            + timeout_s * hop.failed_attempts() as f64;
-                        comm_s += s;
-                        hop_s.push(s);
-                        hop_dt.push(dt);
-                        hop_wire.push(w);
-                    }
-                    pack_s_v.push(t.pack_s);
-                    resident_v.push(t.resident);
-                    sim_tasks.push(SimTask {
-                        pack_s: if streamed { t.pack_s } else { 0.0 },
-                        exec: route.exec,
-                        elapsed: 0.0, // measured below, once the task has run
-                        ret_s: 0.0,   // filled once result sizes are known
-                        hops: h0..hop_s.len(),
-                    });
-                }
-
-                // --- Execute every task once, in task order. Execution is
-                // clockless: results and wall-measured node seconds feed the
-                // simulator; they never depend on it.
-                let mut node_compute = vec![0.0f64; n_nodes];
-                let mut results_bytes = Vec::with_capacity(n_tasks);
-                let mut sub_traces = Vec::with_capacity(n_tasks);
-                for (i, t) in tasks.into_iter().enumerate() {
-                    let exec = routes[i].exec;
-                    let node_tr = if tr.enabled() {
-                        TraceHandle::recording()
-                    } else {
-                        TraceHandle::disabled()
-                    };
-                    let ctx = NodeCtx::new(exec, tpn, ExecMode::Virtual, None).with_trace(node_tr);
-                    let result = (t.work)(&ctx);
-                    let rb = ctx.sequential_labeled("pack", "prep", || packed(&result));
-                    let elapsed = ctx.elapsed();
-                    node_compute[exec] += elapsed;
-                    sim_tasks[i].elapsed = elapsed;
-                    sub_traces.push(ctx.take_trace());
-                    results_bytes.push(rb);
-                }
-
-                // Return trips, planned and accounted in task order (the
-                // third leg of the canonical comm_s order). Each attempt
-                // pays a transfer and each failed attempt an ack timeout.
-                let mut bytes_back = 0u64;
-                let mut returns: Vec<(ReturnRoute, f64)> = Vec::with_capacity(n_tasks);
-                for (i, rb) in results_bytes.iter().enumerate() {
-                    let ret = plan_return(&plan, routes[i].exec, i);
-                    let copies = (ret.attempts + ret.dups) as u64;
-                    for _ in 0..copies {
-                        self.stats.record(rb.len());
-                    }
-                    messages += copies;
-                    bytes_back += rb.len() as u64 * copies;
-                    for _ in 0..ret.drops {
-                        self.stats.record_dropped();
-                    }
-                    for _ in 0..ret.corrupts {
-                        self.stats.record_corrupted();
-                    }
-                    for _ in 0..ret.dups {
-                        self.stats.record_duplicated();
-                    }
-                    let failed = (ret.attempts - 1) as u64;
-                    for _ in 0..failed {
-                        self.stats.record_retry();
-                    }
-                    retries += failed;
-                    let rdt = cost.edge_time(routes[i].exec, ROOT, rb.len());
-                    let path_s = rdt * copies as f64 + timeout_s * failed as f64;
-                    comm_s += path_s;
-                    sim_tasks[i].ret_s = path_s;
-                    returns.push((ret, rdt));
-                }
-
-                // --- Lay the dispatch on the virtual clock (optionally with
-                // both cores, asserting bitwise agreement).
-                let problem = SimProblem {
-                    start_clock,
-                    n_nodes,
-                    n_participants: participants.len(),
-                    env_edges: &sim_env,
-                    hop_s: &hop_s,
-                    tasks: &sim_tasks,
-                };
-                let times = {
-                    let mut scratch = self.sim_scratch.lock().expect("sim scratch poisoned");
-                    if self.config.sim_check {
-                        let eager = sim::run_eager(&problem, &mut scratch);
-                        let event = sim::run_event(&problem, &mut scratch);
-                        sim::assert_cores_agree(&eager, &event);
-                        if self.config.core == SimCore::Eager {
-                            eager
-                        } else {
-                            event
-                        }
-                    } else {
-                        sim::run(self.config.core, &problem, &mut scratch)
-                    }
-                };
-                self.stats.record_sim(times.events, times.peak_heap as u64);
-                let mut finish = 0.0f64;
-                for &rd in &times.ret_done {
-                    finish = finish.max(rd);
-                }
-
-                // --- Render the canonical trace off the timeline (the exact
-                // record order of the pre-event dispatcher, so golden traces
-                // stay bit-identical).
-                if tr.enabled() {
-                    for (idx, e) in env_edges.iter().enumerate() {
-                        let (start, done) = times.env_bounds[idx];
-                        let dt = env_dt[idx];
-                        let dest = participants[e.dest_pos];
-                        let track = if e.sender_pos == 0 {
-                            Track::Root
-                        } else {
-                            Track::Node(participants[e.sender_pos])
-                        };
-                        let mut args = tree_edge_args(dest, ENV_TAG, e.depth, e.fanout);
-                        args.push(("bytes", bcast_bytes.into()));
-                        args.push(("attempts", (e.attempts as u64).into()));
-                        tr.span("comm:tree", "comm", track, start, done, args);
-                        let fault = |name: &'static str, count: u32| {
-                            for k in 0..count {
-                                tr.event(
-                                    name,
-                                    "fault",
-                                    track,
-                                    start + dt * (k + 1) as f64,
-                                    vec![("dest", dest.into())],
-                                );
-                            }
-                        };
-                        fault("retry", e.failed());
-                        fault("drop", e.drops);
-                        fault("corrupt", e.corrupts);
-                        fault("duplicate", e.dups);
-                    }
-                    for (i, route) in routes.iter().enumerate() {
-                        if streamed && pack_s_v[i] > 0.0 {
-                            tr.span(
-                                "root:pack",
-                                "prep",
-                                Track::Root,
-                                times.pack_start[i],
-                                times.pack_start[i] + pack_s_v[i],
-                                vec![("task", i.into())],
-                            );
-                        }
-                        let h0 = sim_tasks[i].hops.start;
-                        for (h, hop) in route.hops.iter().enumerate() {
-                            let (hop_start, hop_done) = times.hop_bounds[h0 + h];
-                            let dt = hop_dt[h0 + h];
-                            tr.span(
-                                "send",
-                                "comm",
-                                Track::Root,
-                                hop_start,
-                                hop_done,
-                                vec![
-                                    ("task", i.into()),
-                                    ("dest", hop.dest.into()),
-                                    ("bytes", hop_wire[h0 + h].into()),
-                                    ("attempts", (hop.attempts as u64).into()),
-                                ],
-                            );
-                            // Fault-event placement within the hop span is a
-                            // model decoration; the *counts* are exact.
-                            let fault = |name: &'static str, count: u32| {
-                                for k in 0..count {
-                                    tr.event(
-                                        name,
-                                        "fault",
-                                        Track::Root,
-                                        hop_start + dt * (k + 1) as f64,
-                                        vec![("task", i.into()), ("dest", hop.dest.into())],
-                                    );
-                                }
-                            };
-                            fault("retry", hop.attempts.saturating_sub(1));
-                            fault("drop", hop.drops);
-                            fault("corrupt", hop.corrupts);
-                            fault("duplicate", hop.dups);
-                            if !hop.delivered && h + 1 < route.hops.len() {
-                                tr.event(
-                                    "redispatch",
-                                    "fault",
-                                    Track::Root,
-                                    hop_done,
-                                    vec![
-                                        ("task", i.into()),
-                                        ("from", hop.dest.into()),
-                                        ("to", route.hops[h + 1].dest.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        if let Some(spec) = resident_v[i] {
-                            let name = if route.exec == spec.home {
-                                "dist:resident-hit"
-                            } else {
-                                "dist:resident-miss"
-                            };
-                            tr.event(
-                                name,
-                                "dist",
-                                Track::Root,
-                                times.send_done[i],
-                                vec![
-                                    ("task", i.into()),
-                                    ("seg", spec.id.into()),
-                                    ("home", spec.home.into()),
-                                    ("exec", route.exec.into()),
-                                ],
-                            );
-                        }
-                    }
-                    for (i, mut sub) in sub_traces.into_iter().enumerate() {
-                        let (start, done) = times.node_bounds[i];
-                        sub.shift(start);
-                        tr.absorb(sub);
-                        tr.span(
-                            "node:task",
-                            "dispatch",
-                            Track::Node(routes[i].exec),
-                            start,
-                            done,
-                            vec![("task", i.into())],
-                        );
-                    }
-                    for (i, (ret, rdt)) in returns.iter().enumerate() {
-                        let done_at = times.node_bounds[i].1;
-                        tr.span(
-                            "return",
-                            "comm",
-                            Track::Root,
-                            done_at,
-                            times.ret_done[i],
-                            vec![
-                                ("task", i.into()),
-                                ("from", routes[i].exec.into()),
-                                ("bytes", results_bytes[i].len().into()),
-                                ("attempts", (ret.attempts as u64).into()),
-                            ],
-                        );
-                        for k in 0..(ret.attempts - 1) as u64 {
-                            tr.event(
-                                "retry",
-                                "fault",
-                                Track::Root,
-                                done_at + rdt * (k + 1) as f64,
-                                vec![("task", i.into()), ("from", routes[i].exec.into())],
-                            );
-                        }
-                    }
-                }
-
-                let ret_arrival = &times.ret_done;
-                let mut arrivals = vec![0.0f64; n_tasks];
-                let mut unpack_copied = 0u64;
-                let mut unpack_aliased = 0u64;
-                let results: Vec<R>;
-                let total_s = match self.config.pipeline {
-                    PipelineMode::Barrier => {
-                        // Serial epilogue: the root waits out the slowest
-                        // return, then unpacks everything in one lump.
-                        let t1 = Instant::now();
-                        let mut out = Vec::with_capacity(n_tasks);
-                        for (i, rb) in results_bytes.into_iter().enumerate() {
-                            let (decoded, c, a) = with_unpack_delta(|| unpack_all(rb));
-                            unpack_copied += c;
-                            unpack_aliased += a;
-                            match decoded {
-                                Ok(r) => out.push(r),
-                                Err(source) => {
-                                    return Err(DispatchError::Decode { task: i, source })
-                                }
-                            }
-                        }
-                        results = out;
-                        let root_unpack_s = t1.elapsed().as_secs_f64();
-                        tr.span(
-                            "root:unpack",
-                            "prep",
-                            Track::Root,
-                            finish,
-                            finish + root_unpack_s,
-                            vec![
-                                ("copied", unpack_copied.into()),
-                                ("aliased", unpack_aliased.into()),
-                            ],
-                        );
-                        let total = finish + root_unpack_s;
-                        arrivals.iter_mut().for_each(|a| *a = total);
-                        total
-                    }
-                    PipelineMode::Streamed => {
-                        // Streaming epilogue: the root (one core) unpacks
-                        // results in arrival order, each the moment it
-                        // lands — early results are ready while late nodes
-                        // still compute, so most of the unpack cost hides
-                        // inside the network tail. Ties break on task index
-                        // so the processing order is deterministic.
-                        let mut order: Vec<usize> = (0..n_tasks).collect();
-                        order.sort_by(|&a, &b| {
-                            ret_arrival[a]
-                                .partial_cmp(&ret_arrival[b])
-                                .expect("arrival times are finite")
-                                .then(a.cmp(&b))
-                        });
-                        let mut uclock = times.root_free; // root free after last send
-                        let mut slots: Vec<Option<R>> = (0..n_tasks).map(|_| None).collect();
-                        let mut spans = vec![(0.0f64, 0.0f64); n_tasks];
-                        let mut moved = vec![(0u64, 0u64); n_tasks];
-                        for &i in &order {
-                            uclock = uclock.max(ret_arrival[i]);
-                            let rb = std::mem::take(&mut results_bytes[i]);
-                            let t1 = Instant::now();
-                            let (decoded, c, a) = with_unpack_delta(|| unpack_all(rb));
-                            let u = t1.elapsed().as_secs_f64();
-                            unpack_copied += c;
-                            unpack_aliased += a;
-                            moved[i] = (c, a);
-                            match decoded {
-                                Ok(r) => slots[i] = Some(r),
-                                Err(source) => {
-                                    return Err(DispatchError::Decode { task: i, source })
-                                }
-                            }
-                            spans[i] = (uclock, uclock + u);
-                            uclock += u;
-                            arrivals[i] = uclock;
-                        }
-                        // Spans are emitted in task order (not arrival
-                        // order) so the recorded line order is a pure
-                        // function of the inputs, independent of measured
-                        // unpack durations.
-                        if tr.enabled() {
-                            for (i, &(s0, s1)) in spans.iter().enumerate() {
-                                tr.span(
-                                    "root:unpack",
-                                    "prep",
-                                    Track::Root,
-                                    s0,
-                                    s1,
-                                    vec![
-                                        ("task", i.into()),
-                                        ("copied", moved[i].0.into()),
-                                        ("aliased", moved[i].1.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        results =
-                            slots.into_iter().map(|s| s.expect("every task unpacked")).collect();
-                        uclock.max(finish)
-                    }
-                };
-                self.stats.record_unpack(unpack_copied, unpack_aliased);
-                Ok(DistOutcome {
-                    results,
-                    arrivals,
-                    trace: tr.take(),
-                    timing: DistTiming {
-                        total_s,
-                        comm_s,
-                        node_compute_s: node_compute,
-                        bytes_out,
-                        bytes_back,
-                        messages,
-                        retries,
-                        redispatches,
-                        resident_hits,
-                        resident_misses,
-                        unpack_copied,
-                        unpack_aliased,
-                    },
-                })
             }
-            ExecMode::Measured => {
-                let t_start = Instant::now();
-                // Measured mode genuinely packed every payload serially
-                // before dispatch, so the pack lump sits at the timeline
-                // origin in both pipeline modes; what streaming overlaps
-                // here is the *gather* side — the root unpacks each result
-                // as its node thread hands it over, while slower node
-                // threads still compute.
-                let prep_off = root_prep_s + total_pack;
-                if total_pack > 0.0 {
-                    tr.span("root:pack", "prep", Track::Root, root_prep_s, prep_off, vec![]);
+            results.extend(slots.into_iter().map(|s| s.expect("every task unpacked")));
+            uclock.max(finish)
+        } else {
+            // Serial epilogue: the root waits out the slowest return, then
+            // unpacks everything in one lump.
+            let t1 = Instant::now();
+            for (i, rb) in results_bytes.into_iter().enumerate() {
+                let (r, moved) = decode(i, rb)?;
+                moved_total = (moved_total.0 + moved.0, moved_total.1 + moved.1);
+                results.push(r);
+            }
+            let total = finish + t1.elapsed().as_secs_f64();
+            tr.span(
+                "root:unpack",
+                "prep",
+                Track::Root,
+                finish,
+                total,
+                unpack_args(None, moved_total),
+            );
+            arrivals.iter_mut().for_each(|a| *a = total);
+            total
+        };
+        self.stats.record_unpack(moved_total.0, moved_total.1);
+        Ok(DistOutcome {
+            results,
+            arrivals,
+            trace: tr.take(),
+            timing: plan.tally.timing(total_s, comm_s, node_compute, moved_total),
+        })
+    }
+
+    /// The measured arm: run every task on its rank's real thread pool and
+    /// gather results on the root thread, on a wall-clock timeline whose
+    /// origin is the start of root-side packing.
+    fn run_measured<'a, R>(
+        &self,
+        mut plan: Plan,
+        works: Vec<Work<'a, R>>,
+    ) -> Result<DistOutcome<R>, DispatchError>
+    where
+        R: Wire + Send,
+    {
+        let faults = self.config.faults;
+        let n_tasks = works.len();
+        let streamed = self.config.pipeline == PipelineMode::Streamed;
+        let tpn = self.config.threads_per_node;
+        let tr = self.trace_handle();
+        let t_start = Instant::now();
+        // Measured mode genuinely packed every payload serially before
+        // dispatch, so the pack lump sits at the timeline origin in both
+        // pipeline modes; what streaming overlaps here is the *gather*
+        // side — the root unpacks each result as its node thread hands it
+        // over, while slower node threads still compute. Sends are
+        // instantaneous in-process, so they all land at `prep_off`.
+        let prep_off: f64 = plan.routes.iter().map(|r| r.pack_s).sum();
+        if prep_off > 0.0 {
+            tr.span("root:pack", "prep", Track::Root, 0.0, prep_off, vec![]);
+        }
+        plan.draw_forward(&tr, &Clock::Wall(prep_off));
+
+        // Group tasks by executing rank; each group runs in task order on
+        // its rank's real thread pool.
+        let mut groups: Vec<Vec<(usize, Work<'a, R>)>> =
+            (0..self.config.nodes).map(|_| Vec::new()).collect();
+        for (i, work) in works.into_iter().enumerate() {
+            groups[plan.routes[i].exec].push((i, work));
+        }
+        let pools = &self.pools;
+        let mut node_compute = vec![0.0f64; self.config.nodes];
+        let mut raw: Vec<Option<Bytes>> = (0..n_tasks).map(|_| None).collect();
+        let mut slots: Vec<Option<R>> = (0..n_tasks).map(|_| None).collect();
+        let mut arrivals = vec![0.0f64; n_tasks];
+        let mut unpack_spans = vec![(0.0f64, 0.0f64, (0u64, 0u64)); n_tasks];
+        let mut moved_total = (0u64, 0u64);
+        let mut first_ready: Option<f64> = None;
+        let mut decode_err: Option<DispatchError> = None;
+        let (res_tx, res_rx) = std::sync::mpsc::channel::<(usize, usize, Bytes, f64)>();
+        std::thread::scope(|s| {
+            for (rank, group) in groups.into_iter().enumerate() {
+                if group.is_empty() {
+                    continue;
                 }
-                // Wall-clock timeline: origin at root-prep start, so sends
-                // (instantaneous in-process) land at `prep_off` and node
-                // task spans at their measured offsets.
-                if tr.enabled() {
-                    for e in &env_edges {
-                        let track = if e.sender_pos == 0 {
-                            Track::Root
+                let pool = &pools[rank];
+                let tr = tr.clone();
+                let res_tx = res_tx.clone();
+                s.spawn(move || {
+                    for (i, work) in group {
+                        let node_tr = if tr.enabled() {
+                            TraceHandle::recording()
                         } else {
-                            Track::Node(participants[e.sender_pos])
+                            TraceHandle::disabled()
                         };
-                        let dest = participants[e.dest_pos];
-                        let mut args = tree_edge_args(dest, ENV_TAG, e.depth, e.fanout);
-                        args.push(("bytes", bcast_bytes.into()));
-                        args.push(("attempts", (e.attempts as u64).into()));
-                        tr.event("comm:tree", "comm", track, prep_off, args);
-                        let fault = |name: &'static str, count: u32| {
-                            for _ in 0..count {
-                                tr.event(
-                                    name,
-                                    "fault",
-                                    track,
-                                    prep_off,
-                                    vec![("dest", dest.into())],
-                                );
-                            }
-                        };
-                        fault("retry", e.failed());
-                        fault("drop", e.drops);
-                        fault("corrupt", e.corrupts);
-                        fault("duplicate", e.dups);
-                    }
-                    for (i, (t, route)) in tasks.iter().zip(&routes).enumerate() {
-                        for (h, hop) in route.hops.iter().enumerate() {
-                            tr.event(
-                                "send",
-                                "comm",
-                                Track::Root,
-                                prep_off,
-                                vec![
-                                    ("task", i.into()),
-                                    ("dest", hop.dest.into()),
-                                    ("bytes", t.hop_bytes(hop.dest).into()),
-                                    ("attempts", (hop.attempts as u64).into()),
-                                ],
-                            );
-                            let fault = |name: &'static str, count: u32| {
-                                for _ in 0..count {
-                                    tr.event(
-                                        name,
-                                        "fault",
-                                        Track::Root,
-                                        prep_off,
-                                        vec![("task", i.into()), ("dest", hop.dest.into())],
-                                    );
-                                }
-                            };
-                            fault("retry", hop.attempts.saturating_sub(1));
-                            fault("drop", hop.drops);
-                            fault("corrupt", hop.corrupts);
-                            fault("duplicate", hop.dups);
-                            if !hop.delivered && h + 1 < route.hops.len() {
-                                tr.event(
-                                    "redispatch",
-                                    "fault",
-                                    Track::Root,
-                                    prep_off,
-                                    vec![
-                                        ("task", i.into()),
-                                        ("from", hop.dest.into()),
-                                        ("to", route.hops[h + 1].dest.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        if let Some(spec) = t.resident {
-                            let name = if route.exec == spec.home {
-                                "dist:resident-hit"
-                            } else {
-                                "dist:resident-miss"
-                            };
-                            tr.event(
-                                name,
-                                "dist",
-                                Track::Root,
-                                prep_off,
-                                vec![
-                                    ("task", i.into()),
-                                    ("seg", spec.id.into()),
-                                    ("home", spec.home.into()),
-                                    ("exec", route.exec.into()),
-                                ],
+                        let start_off = prep_off + t_start.elapsed().as_secs_f64();
+                        let ctx = NodeCtx::new(rank, tpn, ExecMode::Measured, Some(pool))
+                            .with_trace(node_tr);
+                        let result = work(&ctx);
+                        let rb = ctx.sequential_labeled("pack", "prep", || packed(&result));
+                        if tr.enabled() {
+                            let end_off = prep_off + t_start.elapsed().as_secs_f64();
+                            let mut sub = ctx.take_trace();
+                            sub.shift(start_off);
+                            tr.absorb(sub);
+                            let args = vec![("task", i.into())];
+                            tr.span(
+                                "node:task",
+                                "dispatch",
+                                Track::Node(rank),
+                                start_off,
+                                end_off,
+                                args,
                             );
                         }
-                    }
-                }
-                // Group tasks by executing rank; each group runs in task
-                // order on its rank's real thread pool.
-                let mut groups: Vec<Vec<(usize, RawTask<'a, R>)>> =
-                    (0..n_nodes).map(|_| Vec::new()).collect();
-                for (i, t) in tasks.into_iter().enumerate() {
-                    groups[routes[i].exec].push((i, t));
-                }
-                let pools = &self.pools;
-                let mut node_compute = vec![0.0f64; n_nodes];
-                let mut raw: Vec<Option<bytes::Bytes>> = (0..n_tasks).map(|_| None).collect();
-                let mut slots: Vec<Option<R>> = (0..n_tasks).map(|_| None).collect();
-                let mut arrivals = vec![0.0f64; n_tasks];
-                let mut unpack_spans = vec![(0.0f64, 0.0f64); n_tasks];
-                let mut unpack_moved = vec![(0u64, 0u64); n_tasks];
-                let mut unpack_copied = 0u64;
-                let mut unpack_aliased = 0u64;
-                let mut first_ready: Option<f64> = None;
-                let mut decode_err: Option<DispatchError> = None;
-                let streamed = self.config.pipeline == PipelineMode::Streamed;
-                let (res_tx, res_rx) =
-                    std::sync::mpsc::channel::<(usize, usize, bytes::Bytes, f64)>();
-                std::thread::scope(|s| {
-                    for (rank, group) in groups.into_iter().enumerate() {
-                        if group.is_empty() {
-                            continue;
-                        }
-                        let pool = &pools[rank];
-                        let tr = tr.clone();
-                        let res_tx = res_tx.clone();
-                        s.spawn(move || {
-                            for (i, t) in group {
-                                let node_tr = if tr.enabled() {
-                                    TraceHandle::recording()
-                                } else {
-                                    TraceHandle::disabled()
-                                };
-                                let start_off = prep_off + t_start.elapsed().as_secs_f64();
-                                let ctx = NodeCtx::new(rank, tpn, ExecMode::Measured, Some(pool))
-                                    .with_trace(node_tr);
-                                let result = (t.work)(&ctx);
-                                let rb = ctx.sequential_labeled("pack", "prep", || packed(&result));
-                                if tr.enabled() {
-                                    let end_off = prep_off + t_start.elapsed().as_secs_f64();
-                                    let mut sub = ctx.take_trace();
-                                    sub.shift(start_off);
-                                    tr.absorb(sub);
-                                    tr.span(
-                                        "node:task",
-                                        "dispatch",
-                                        Track::Node(rank),
-                                        start_off,
-                                        end_off,
-                                        vec![("task", i.into())],
-                                    );
-                                }
-                                // The root may have bailed on a decode
-                                // error; a dead receiver is not our problem.
-                                let _ = res_tx.send((rank, i, rb, ctx.elapsed()));
-                            }
-                        });
-                    }
-                    drop(res_tx);
-                    // The root thread is the gather consumer. Streamed: take
-                    // each result as its node thread finishes and unpack it
-                    // immediately, overlapping slower nodes' compute.
-                    // Barrier: only record receipt here; the unpack lump
-                    // happens after every node is done (pre-pipeline shape).
-                    while let Ok((rank, i, rb, secs)) = res_rx.recv() {
-                        node_compute[rank] += secs;
-                        if streamed {
-                            let at = prep_off + t_start.elapsed().as_secs_f64();
-                            first_ready.get_or_insert(at);
-                            let (decoded, c, a) = with_unpack_delta(|| unpack_all(rb.clone()));
-                            let done = prep_off + t_start.elapsed().as_secs_f64();
-                            unpack_copied += c;
-                            unpack_aliased += a;
-                            unpack_moved[i] = (c, a);
-                            match decoded {
-                                Ok(r) => slots[i] = Some(r),
-                                Err(source) => {
-                                    decode_err = Some(DispatchError::Decode { task: i, source });
-                                    break;
-                                }
-                            }
-                            unpack_spans[i] = (at, done);
-                            arrivals[i] = done;
-                        }
-                        raw[i] = Some(rb);
+                        // The root may have bailed on a decode error; a dead
+                        // receiver is not our problem.
+                        let _ = res_tx.send((rank, i, rb, ctx.elapsed()));
                     }
                 });
-                if let Some(e) = decode_err {
-                    return Err(e);
-                }
-                let gather_off =
-                    first_ready.unwrap_or_else(|| prep_off + t_start.elapsed().as_secs_f64());
-                if !streamed {
-                    for (i, rb) in raw.iter().enumerate() {
-                        let rb = rb.clone().expect("every task produced a result");
-                        let (decoded, c, a) = with_unpack_delta(|| unpack_all(rb));
-                        unpack_copied += c;
-                        unpack_aliased += a;
-                        match decoded {
-                            Ok(r) => slots[i] = Some(r),
-                            Err(source) => return Err(DispatchError::Decode { task: i, source }),
+            }
+            drop(res_tx);
+            // The root thread is the gather consumer. Streamed: take each
+            // result as its node thread finishes and unpack it immediately,
+            // overlapping slower nodes' compute. Barrier: only record
+            // receipt here; the unpack lump happens after every node is done.
+            while let Ok((rank, i, rb, secs)) = res_rx.recv() {
+                node_compute[rank] += secs;
+                if streamed {
+                    let at = prep_off + t_start.elapsed().as_secs_f64();
+                    first_ready.get_or_insert(at);
+                    match decode(i, rb.clone()) {
+                        Ok((r, moved)) => {
+                            moved_total = (moved_total.0 + moved.0, moved_total.1 + moved.1);
+                            slots[i] = Some(r);
+                            let done = prep_off + t_start.elapsed().as_secs_f64();
+                            unpack_spans[i] = (at, done, moved);
+                            arrivals[i] = done;
+                        }
+                        Err(e) => {
+                            decode_err = Some(e);
+                            break;
                         }
                     }
                 }
-                // Return-path accounting runs in task order after the fact:
-                // the counters are order-independent sums, and emitting the
-                // trace lines here keeps the recorded order deterministic
-                // even though completion order is not.
-                let mut bytes_back = 0u64;
-                for i in 0..n_tasks {
-                    let len = raw[i].as_ref().expect("every task produced a result").len();
-                    let ret = plan_return(&plan, routes[i].exec, i);
-                    let copies = (ret.attempts + ret.dups) as u64;
-                    for _ in 0..copies {
-                        self.stats.record(len);
-                    }
-                    messages += copies;
-                    bytes_back += len as u64 * copies;
-                    for _ in 0..ret.drops {
-                        self.stats.record_dropped();
-                    }
-                    for _ in 0..ret.corrupts {
-                        self.stats.record_corrupted();
-                    }
-                    for _ in 0..ret.dups {
-                        self.stats.record_duplicated();
-                    }
-                    let failed = (ret.attempts - 1) as u64;
-                    for _ in 0..failed {
-                        self.stats.record_retry();
-                    }
-                    retries += failed;
-                    if tr.enabled() {
-                        for _ in 0..failed {
-                            tr.event(
-                                "retry",
-                                "fault",
-                                Track::Root,
-                                gather_off,
-                                vec![("task", i.into()), ("from", routes[i].exec.into())],
-                            );
-                        }
-                        if streamed {
-                            let (s0, s1) = unpack_spans[i];
-                            tr.span(
-                                "root:unpack",
-                                "prep",
-                                Track::Root,
-                                s0,
-                                s1,
-                                vec![
-                                    ("task", i.into()),
-                                    ("copied", unpack_moved[i].0.into()),
-                                    ("aliased", unpack_moved[i].1.into()),
-                                ],
-                            );
-                        }
-                    }
-                }
-                let end_off = prep_off + t_start.elapsed().as_secs_f64();
-                tr.span("root:gather", "comm", Track::Root, gather_off, end_off, vec![]);
-                if !streamed {
-                    arrivals.iter_mut().for_each(|a| *a = end_off);
-                }
-                let results: Vec<R> =
-                    slots.into_iter().map(|s| s.expect("every task produced a result")).collect();
-                self.stats.record_unpack(unpack_copied, unpack_aliased);
-                Ok(DistOutcome {
-                    results,
-                    arrivals,
-                    trace: tr.take(),
-                    timing: DistTiming {
-                        total_s: end_off,
-                        comm_s: 0.0, // real transfers are in-process; wall time covers them
-                        node_compute_s: node_compute,
-                        bytes_out,
-                        bytes_back,
-                        messages,
-                        retries,
-                        redispatches,
-                        resident_hits,
-                        resident_misses,
-                        unpack_copied,
-                        unpack_aliased,
-                    },
-                })
+                raw[i] = Some(rb);
+            }
+        });
+        if let Some(e) = decode_err {
+            return Err(e);
+        }
+        let gather_off = first_ready.unwrap_or_else(|| prep_off + t_start.elapsed().as_secs_f64());
+        if !streamed {
+            for (i, rb) in raw.iter().enumerate() {
+                let rb = rb.clone().expect("every task produced a result");
+                let (r, moved) = decode(i, rb)?;
+                moved_total = (moved_total.0 + moved.0, moved_total.1 + moved.1);
+                slots[i] = Some(r);
             }
         }
+        // Return-path accounting runs in task order after the fact: the
+        // counters are order-independent sums, and emitting the trace lines
+        // here keeps the recorded order deterministic even though
+        // completion order is not.
+        for (i, rb) in raw.iter().enumerate() {
+            let len = rb.as_ref().expect("every task produced a result").len();
+            let exec = plan.routes[i].exec;
+            let ret = transmit_live(&faults, exec, ROOT, RET_TAG, i as u64);
+            plan.tally.bytes_back += self.account(&ret, len, &mut plan.tally);
+            if tr.enabled() {
+                let args = vec![("task", i.into()), ("from", exec.into())];
+                Place::At(gather_off).marks(&tr, "retry", ret.retries(), Track::Root, &args);
+                if streamed {
+                    let (s0, s1, moved) = unpack_spans[i];
+                    tr.span(
+                        "root:unpack",
+                        "prep",
+                        Track::Root,
+                        s0,
+                        s1,
+                        unpack_args(Some(i), moved),
+                    );
+                }
+            }
+        }
+        let end_off = prep_off + t_start.elapsed().as_secs_f64();
+        tr.span("root:gather", "comm", Track::Root, gather_off, end_off, vec![]);
+        if !streamed {
+            arrivals.iter_mut().for_each(|a| *a = end_off);
+        }
+        let results: Vec<R> =
+            slots.into_iter().map(|s| s.expect("every task produced a result")).collect();
+        self.stats.record_unpack(moved_total.0, moved_total.1);
+        // Real transfers are in-process; wall time covers them.
+        let timing = plan.tally.timing(end_off, 0.0, node_compute, moved_total);
+        Ok(DistOutcome { results, arrivals, trace: tr.take(), timing })
     }
+}
+
+/// Arguments of a `root:unpack` span: its task (absent for the barrier
+/// lump) and the bytes it copied and aliased.
+fn unpack_args(task: Option<usize>, (copied, aliased): (u64, u64)) -> Args {
+    let mut args: Args = task.map(|i| ("task", i.into())).into_iter().collect();
+    args.push(("copied", copied.into()));
+    args.push(("aliased", aliased.into()));
+    args
 }
 
 #[cfg(test)]

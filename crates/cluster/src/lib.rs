@@ -20,17 +20,18 @@
 //!   transfer times over the *actually serialized* byte counts. This is how
 //!   the paper's 128-core scaling figures are regenerated on a small host.
 //!
-//! The [`comm`] module additionally provides a real rank-to-rank typed
-//! message layer (send/recv/broadcast/scatter/gather/all-reduce) used in
-//! `Measured` mode and by tests — the analogue of the MPI primitives the
-//! paper's runtime wraps. The [`fault`] module adds a deterministic,
-//! seeded fault schedule ([`FaultPlan`]) that the comm layer and the
-//! cluster dispatcher consult to inject message loss, duplication,
-//! corruption, and node crashes — and to recover from them, so skeleton
-//! results stay bit-identical with faults on.
+//! Every dispatch models one message protocol. The root sends each task's
+//! payload to its rank and the rank sends the result back; a non-empty
+//! closure environment is broadcast first, over a binomial [`tree`] or a
+//! linear loop ([`Topology`]). With an active [`FaultPlan`] each message is
+//! acknowledged: the sender retransmits lost, corrupted, or unacknowledged
+//! attempts until the retry budget is spent, and a task whose rank stays
+//! silent is re-dispatched to the next surviving rank. The [`fault`] module
+//! makes that schedule a pure function of a seed, so the dispatcher plans
+//! every attempt before any task runs and results stay bit-identical with
+//! faults on.
 
 pub mod cluster;
-pub mod comm;
 pub mod cost;
 pub mod fault;
 pub mod node;
@@ -41,7 +42,6 @@ pub use cluster::{
     Cluster, ClusterConfig, DispatchError, DistOutcome, PipelineMode, RawTask, ResidentSpec,
     Topology,
 };
-pub use comm::{Comm, CommError, CommHandle, REPLY_TAG_BIT};
 pub use cost::{CostModel, DistTiming, TrafficSnapshot, TrafficStats};
 pub use fault::{FaultDecision, FaultPlan};
 pub use node::{ExecMode, NodeCtx, ResidentStore};

@@ -15,17 +15,9 @@
 //! * the subtree rooted at `v` covers exactly the contiguous relative ranks
 //!   `[v, v + lowbit(v))`.
 //!
-//! That contiguity is what lets tree `gather`/`reduce` preserve *rank order*:
-//! a node's own value followed by its children's blocks in ascending-child
-//! order is precisely the rank-ordered run of its subtree, so concatenations
-//! (gather) and left-to-right folds (reduce) over the tree agree with the
-//! linear, root-centric collectives bit for bit.
-
-/// Parent of relative rank `v > 0`: clear the lowest set bit.
-pub fn parent(v: usize) -> usize {
-    debug_assert!(v > 0, "the root has no parent");
-    v & (v - 1)
-}
+//! The dispatcher routes the closure environment over this tree: [`edges`]
+//! lists the sends in the order each sender's NIC serializes them, and
+//! [`depth`]/[`fanout`] annotate each edge in the trace.
 
 /// Depth of relative rank `v` (root = 0): its set-bit count.
 pub fn depth(v: usize) -> u32 {
@@ -69,27 +61,6 @@ pub fn fanout(v: usize, m: usize) -> usize {
     n
 }
 
-/// Arrival offsets of every participant relative to the root starting its
-/// first send at time 0, with per-edge costs supplied by `edge_cost(sender,
-/// child)`.
-///
-/// Each sender's NIC serializes its own sends — children are sent
-/// largest-subtree-first (descending), the order that minimizes the critical
-/// path — while different senders transmit concurrently. `arrival[0]` is 0.
-pub fn broadcast_arrivals(m: usize, mut edge_cost: impl FnMut(usize, usize) -> f64) -> Vec<f64> {
-    let mut arrival = vec![0.0f64; m];
-    // Parents have smaller relative ranks than their children, so a single
-    // ascending pass sees every arrival before it is needed.
-    for v in 0..m {
-        let mut clock = arrival[v];
-        for &c in children(v, m).iter().rev() {
-            clock += edge_cost(v, c);
-            arrival[c] = clock;
-        }
-    }
-    arrival
-}
-
 /// Every (sender, child) edge of the tree over `m` participants, in the
 /// order senders transmit them (ascending sender, descending child).
 pub fn edges(m: usize) -> Vec<(usize, usize)> {
@@ -105,6 +76,12 @@ pub fn edges(m: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parent of relative rank `v > 0`: clear the lowest set bit (the
+    /// oracle the children lists are checked against).
+    fn parent(v: usize) -> usize {
+        v & (v - 1)
+    }
 
     #[test]
     fn parent_clears_lowest_bit() {
@@ -170,19 +147,6 @@ mod tests {
                 assert_eq!(max_depth, ceil_log2, "m={m}");
             }
         }
-    }
-
-    #[test]
-    fn uniform_arrivals_scale_with_depth() {
-        // With unit edge cost, a power-of-two tree delivers rank v no later
-        // than depth(v) + (fan-out serialization) and the farthest rank in
-        // 16 participants is reached in 4 time units, not 15.
-        let a = broadcast_arrivals(16, |_, _| 1.0);
-        assert_eq!(a[0], 0.0);
-        let worst = a.iter().cloned().fold(0.0, f64::max);
-        assert_eq!(worst, 4.0);
-        // Linear root-serialized sends would need 15 units for the last rank.
-        assert!(worst < 15.0);
     }
 
     #[test]

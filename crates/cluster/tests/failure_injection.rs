@@ -1,11 +1,10 @@
-//! Failure injection: corrupt payloads, panicking node tasks, disconnected
-//! peers — failures must surface as errors or propagated panics, never as
-//! silent corruption or hangs.
+//! Failure injection: corrupt payloads and panicking node tasks — failures
+//! must surface as errors or propagated panics, never as silent corruption
+//! or hangs.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
-use triolet_cluster::{Cluster, ClusterConfig, Comm, CommError, FaultPlan, TrafficStats};
+use triolet_cluster::{Cluster, ClusterConfig};
 use triolet_serial::{packed, unpack_all, WireError};
 
 #[test]
@@ -73,41 +72,6 @@ fn node_task_panic_propagates_in_measured_mode() {
         })
     }));
     assert!(result.is_err());
-}
-
-#[test]
-fn disconnected_peer_surfaces_as_error() {
-    let mut handles = Comm::create_with(2, None, Arc::new(TrafficStats::new()), FaultPlan::none());
-    let h1 = handles.pop().expect("rank 1");
-    let mut h0 = handles.pop().expect("rank 0");
-    // Drop rank 1 entirely: its receiver disappears.
-    drop(h1);
-    // Sending to a dropped rank reports Disconnected (crossbeam channel
-    // closed), not a hang or panic.
-    let r = h0.send(1, 0, &42u64);
-    assert_eq!(r, Err(CommError::Disconnected));
-    // Receiving from a dropped rank that never sent: all senders to rank 0
-    // still exist (h0 holds clones), so this would block forever — instead
-    // verify the buffered-path error shape via an immediate self-check:
-    // rank 0 can still talk to itself through the buffer.
-    h0.send(0, 7, &7u32).unwrap();
-    assert_eq!(h0.recv::<u32>(0, 7).unwrap(), 7);
-}
-
-#[test]
-fn oversized_message_rejected_before_transport() {
-    let handles = Comm::create_with(2, Some(16), Arc::new(TrafficStats::new()), FaultPlan::none());
-    let h0 = &handles[0];
-    let big = vec![0u8; 1024];
-    match h0.send(1, 0, &big) {
-        Err(CommError::MessageTooLarge { bytes, limit }) => {
-            assert!(bytes > limit);
-            assert_eq!(limit, 16);
-        }
-        other => panic!("expected MessageTooLarge, got {other:?}"),
-    }
-    // Small messages still pass.
-    assert!(h0.send(1, 0, &1u8).is_ok());
 }
 
 #[test]

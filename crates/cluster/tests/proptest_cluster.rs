@@ -1,11 +1,8 @@
 //! Property tests for the cluster: results and traffic accounting must be
-//! exact for arbitrary payload shapes and cluster sizes, and the comm layer
-//! must deliver under arbitrary interleavings.
-
-use std::sync::Arc;
+//! exact for arbitrary payload shapes and cluster sizes.
 
 use proptest::prelude::*;
-use triolet_cluster::{Cluster, ClusterConfig, Comm, CostModel, FaultPlan, TrafficStats};
+use triolet_cluster::{Cluster, ClusterConfig, CostModel};
 use triolet_serial::Wire;
 
 proptest! {
@@ -64,68 +61,5 @@ proptest! {
             expect += cost.transfer_time(8);
         }
         prop_assert!((out.timing.comm_s - expect).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn comm_all_to_all_delivery() {
-    // Every rank sends to every other rank with a distinct tag; all arrive.
-    let n = 4;
-    let handles = Comm::create_with(n, None, Arc::new(TrafficStats::new()), FaultPlan::none());
-    let results: Vec<u64> = std::thread::scope(|s| {
-        let joins: Vec<_> = handles
-            .into_iter()
-            .map(|mut h| {
-                s.spawn(move || {
-                    let me = h.rank();
-                    for to in 0..h.size() {
-                        if to != me {
-                            h.send(to, me as u32, &(me as u64 * 100)).unwrap();
-                        }
-                    }
-                    let mut sum = 0u64;
-                    for from in 0..h.size() {
-                        if from != me {
-                            sum += h.recv::<u64>(from, from as u32).unwrap();
-                        }
-                    }
-                    sum
-                })
-            })
-            .collect();
-        joins.into_iter().map(|j| j.join().unwrap()).collect()
-    });
-    // Each rank receives 100*sum(others).
-    let total: u64 = (0..n as u64).map(|r| r * 100).sum();
-    for (me, sum) in results.into_iter().enumerate() {
-        assert_eq!(sum, total - me as u64 * 100);
-    }
-}
-
-#[test]
-fn comm_reduce_then_broadcast_chain() {
-    // A two-phase collective sequence like the paper's histogram pipeline.
-    let n = 3;
-    let handles = Comm::create(n);
-    let results: Vec<Vec<u64>> = std::thread::scope(|s| {
-        let joins: Vec<_> = handles
-            .into_iter()
-            .map(|mut h| {
-                s.spawn(move || {
-                    let mine = vec![h.rank() as u64; 4];
-                    let summed = h
-                        .all_reduce(mine, 1, |a, b| a.iter().zip(b).map(|(x, y)| x + y).collect())
-                        .unwrap();
-                    // Follow-up broadcast of a scalar derived from it.
-                    let total = summed.iter().sum::<u64>();
-                    h.broadcast(0, Some(total), 10).unwrap();
-                    summed
-                })
-            })
-            .collect();
-        joins.into_iter().map(|j| j.join().unwrap()).collect()
-    });
-    for r in results {
-        assert_eq!(r, vec![3, 3, 3, 3]); // 0+1+2 per cell
     }
 }

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use triolet_cluster::TrafficStats;
-use triolet_domain::SeqPart;
+use triolet_domain::{Domain, SeqPart};
 use triolet_serial::{PackedPayload, Wire};
 
 use super::DistIter;
@@ -114,32 +114,32 @@ impl<E: Wire + Send + Sync> AsEnv for &PackedEnv<E> {
     }
 }
 
-/// One resident task: a contiguous range of the input's index space whose
-/// backing segment lives on `home`.
+/// One resident task: a part of the input's index space whose backing
+/// segment lives on `home`.
 ///
-/// `fold` enumerates the items at input-space indices `start .. start + len`
-/// (a subrange of `part`) — the engine splits `part` into the same chunks
-/// as the re-broadcast path, so a resident execution folds and merges in an
+/// `fold` enumerates the items at the input-space indices of a chunk of
+/// `part` — the engine splits `part` into the same chunks as the
+/// re-broadcast path, so a resident execution folds and merges in an
 /// identical order and the result is bit-identical.
-pub struct ResidentPart<T> {
+pub struct ResidentPart<T, P = SeqPart> {
     /// Rank holding this part's segment.
     pub home: usize,
     /// The input-space range this part covers.
-    pub part: SeqPart,
+    pub part: P,
     /// Bytes re-shipped if a crash forces this task off its home rank.
     pub seg_bytes: usize,
     /// Ghost/halo bytes a view needs from neighboring segments each call.
     pub halo_bytes: usize,
-    /// Enumerate items at input-space indices `start .. start + len`.
+    /// Enumerate the items of one chunk of `part`.
     #[allow(clippy::type_complexity)]
-    pub fold: Arc<dyn Fn(usize, usize, &mut dyn FnMut(T)) + Send + Sync>,
+    pub fold: Arc<dyn Fn(&P, &mut dyn FnMut(T)) + Send + Sync>,
 }
 
-impl<T> Clone for ResidentPart<T> {
+impl<T, P: Clone> Clone for ResidentPart<T, P> {
     fn clone(&self) -> Self {
         ResidentPart {
             home: self.home,
-            part: self.part,
+            part: self.part.clone(),
             seg_bytes: self.seg_bytes,
             halo_bytes: self.halo_bytes,
             fold: Arc::clone(&self.fold),
@@ -150,13 +150,13 @@ impl<T> Clone for ResidentPart<T> {
 /// A resident execution plan: one [`ResidentPart`] per home rank, covering
 /// the view's index space in order. Produced by resident collection views;
 /// consumed by the engine's resident dispatch arm.
-pub struct ResidentRun<T> {
+pub struct ResidentRun<T, P = SeqPart> {
     /// The backing collection's store id (for hit/miss accounting).
     pub id: u64,
     /// Total items in the view's index space.
     pub len: usize,
     /// Parts in index order; `parts[i].part` ranges tile `0..len`.
-    pub parts: Vec<ResidentPart<T>>,
+    pub parts: Vec<ResidentPart<T, P>>,
 }
 
 /// A skeleton input, resolved: either an iterator to slice and ship, or a
@@ -165,7 +165,7 @@ pub enum DistInput<It: DistIter> {
     /// Root-held data: slice per part and ship each node its share.
     Iter(It),
     /// Resident data: dispatch zero-byte descriptors to the home ranks.
-    Resident(ResidentRun<It::Item>),
+    Resident(ResidentRun<It::Item, <It::OuterDom as Domain>::Part>),
 }
 
 /// Anything a skeleton can consume as its data input: every [`DistIter`]

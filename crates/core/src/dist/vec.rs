@@ -169,7 +169,7 @@ impl<T> DistVec<T> {
 fn whole_parts<T, Item>(
     segs: &Arc<Vec<Seg<T>>>,
     halo_bytes: impl Fn(&Seg<T>) -> usize,
-    make: impl Fn(&Seg<T>) -> Arc<dyn Fn(usize, usize, &mut dyn FnMut(Item)) + Send + Sync>,
+    make: impl Fn(&Seg<T>) -> Arc<dyn Fn(&SeqPart, &mut dyn FnMut(Item)) + Send + Sync>,
 ) -> Vec<ResidentPart<Item>> {
     segs.iter()
         .map(|seg| ResidentPart {
@@ -193,7 +193,8 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistVec<T> {
             |seg| {
                 let data = Arc::clone(&seg.data);
                 let base = seg.part.start;
-                Arc::new(move |start, len, f: &mut dyn FnMut(T)| {
+                Arc::new(move |c: &SeqPart, f: &mut dyn FnMut(T)| {
+                    let (start, len) = (c.start, c.len);
                     for x in &data[start - base..start - base + len] {
                         f(x.clone());
                     }
@@ -232,7 +233,8 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for SliceView<T> {
                 part: SeqPart::new(lo - a, hi - lo),
                 seg_bytes: (seg.elem_bytes() * (hi - lo)).max(1),
                 halo_bytes: 0,
-                fold: Arc::new(move |start, len, f: &mut dyn FnMut(T)| {
+                fold: Arc::new(move |c: &SeqPart, f: &mut dyn FnMut(T)| {
+                    let (start, len) = (c.start, c.len);
                     let off = a + start - base;
                     for x in &data[off..off + len] {
                         f(x.clone());
@@ -262,7 +264,8 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for EnumView<T> {
             |seg| {
                 let data = Arc::clone(&seg.data);
                 let base = seg.part.start;
-                Arc::new(move |start, len, f: &mut dyn FnMut((usize, T))| {
+                Arc::new(move |c: &SeqPart, f: &mut dyn FnMut((usize, T))| {
+                    let (start, len) = (c.start, c.len);
                     for (k, x) in data[start - base..start - base + len].iter().enumerate() {
                         f((start + k, x.clone()));
                     }
@@ -304,7 +307,8 @@ where
                     part: sa.part,
                     seg_bytes: sa.bytes + sb.bytes,
                     halo_bytes: 0,
-                    fold: Arc::new(move |start, len, f: &mut dyn FnMut((T, U))| {
+                    fold: Arc::new(move |c: &SeqPart, f: &mut dyn FnMut((T, U))| {
+                        let (start, len) = (c.start, c.len);
                         let off = start - base;
                         for k in off..off + len {
                             f((da[k].clone(), db[k].clone()));
@@ -339,7 +343,8 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for HaloView<T> {
             |seg| 2 * radius * seg.elem_bytes(),
             |_seg| {
                 let all = Arc::clone(&all);
-                Arc::new(move |start, len, f: &mut dyn FnMut((usize, Vec<T>))| {
+                Arc::new(move |c: &SeqPart, f: &mut dyn FnMut((usize, Vec<T>))| {
+                    let (start, len) = (c.start, c.len);
                     for i in start..start + len {
                         let lo = i.saturating_sub(radius);
                         let hi = (i + radius + 1).min(n);
@@ -433,7 +438,8 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for &DistArray2<T> {
                     part: SeqPart::new(base, seg.part.len * cols),
                     seg_bytes: seg.bytes,
                     halo_bytes: 0,
-                    fold: Arc::new(move |start, len, f: &mut dyn FnMut(T)| {
+                    fold: Arc::new(move |c: &SeqPart, f: &mut dyn FnMut(T)| {
+                        let (start, len) = (c.start, c.len);
                         for x in &data[start - base..start - base + len] {
                             f(x.clone());
                         }
@@ -470,7 +476,8 @@ impl<T: Wire + Clone + Send + Sync + 'static> IntoDistInput for RowsView<T> {
                     part: seg.part,
                     seg_bytes: seg.bytes,
                     halo_bytes: 0,
-                    fold: Arc::new(move |start, len, f: &mut dyn FnMut((usize, Vec<T>))| {
+                    fold: Arc::new(move |c: &SeqPart, f: &mut dyn FnMut((usize, Vec<T>))| {
+                        let (start, len) = (c.start, c.len);
                         for r in start..start + len {
                             let off = (r - base) * cols;
                             f((r, data[off..off + cols].to_vec()));
@@ -513,7 +520,7 @@ mod tests {
             DistInput::Iter(_) => unreachable!("resident view"),
             DistInput::Resident(run) => {
                 for p in &run.parts {
-                    (p.fold)(p.part.start, p.part.len, &mut |x| out.push(x));
+                    (p.fold)(&p.part, &mut |x| out.push(x));
                 }
             }
         }

@@ -40,10 +40,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use triolet_cluster::{
-    Cluster, ClusterConfig, DistOutcome, NodeCtx, PipelineMode, RawTask, ResidentSpec, TraceData,
-    TraceHandle, Track,
+    Cluster, ClusterConfig, DistOutcome, ExecMode, NodeCtx, PipelineMode, RawTask, ResidentSpec,
+    TraceData, TraceHandle, Track,
 };
-use triolet_domain::{Dim2, Domain, Part, Seq, SeqPart};
+use triolet_domain::{Dim2, Dim2Part, Domain, Part, Seq};
 use triolet_iter::collector::Collector;
 use triolet_iter::shapes::ParHint;
 use triolet_iter::Array2;
@@ -51,8 +51,7 @@ use triolet_pool::parallel::CHUNKS_PER_THREAD;
 use triolet_serial::{PackedPayload, PodView, Wire};
 
 use crate::dist::{
-    AsEnv, DistArray2, DistInput, DistIter, DistVec, EnvArg, IntoDistInput, PackedEnv, ResidentRun,
-    Seg,
+    AsEnv, DistArray2, DistInput, DistIter, DistVec, EnvArg, IntoDistInput, PackedEnv, Seg,
 };
 use crate::report::RunStats;
 use crate::run::Run;
@@ -314,82 +313,188 @@ impl Triolet {
     }
 
     // ======================================================================
-    // Root-side epilogues (shared by the iterator and resident paths)
+    // The one distributed fold
     // ======================================================================
 
-    /// Fold task partials at the root: streamed prefix merge under the
-    /// streamed pipeline, lump reduce under the barrier — both in task
-    /// order, so the value is identical either way.
-    fn fold_epilogue<B, Empty, Merge>(
+    /// Run one skeleton: the single place that matches on the input kind
+    /// and the parallelism hint.
+    ///
+    /// * `Sequential` — the root folds the whole domain as one chunk.
+    /// * `LocalPar` — one task splits the whole domain across the local
+    ///   node's threads; no data ships.
+    /// * `Par` — the outer domain splits across nodes; each node receives
+    ///   its sliced data (§3.5) and the packed environment, splits its part
+    ///   across its threads, and sends its partial back.
+    /// * Resident — one task per segment, sent to the rank already holding
+    ///   it; only the environment ships.
+    ///
+    /// Every path folds the same chunks through the skeleton's `node` side
+    /// and hands the partials to its `root` side in task order, so results
+    /// are bit-identical across hints, pipeline modes, and resident versus
+    /// re-broadcast inputs.
+    fn distribute<It, E, C, P, A, NI, NS, NC, RI, RA>(
         &self,
         name: &str,
-        root_prep_s: f64,
-        out: DistOutcome<B>,
-        empty: Empty,
-        merge: Merge,
-    ) -> Run<B>
+        input: DistInput<It>,
+        env: EnvArg<'_, E>,
+        node: NodeSide<NI, NS, NC>,
+        root: RootSide<RI, RA>,
+    ) -> Run<A>
     where
-        B: Wire + Send,
-        Empty: Fn() -> B,
-        Merge: Fn(B, B) -> B,
+        It: DistIter,
+        E: Wire + Send + Sync,
+        C: Send,
+        P: Wire + Send,
+        NI: Fn(&PartOf<It>) -> C + Sync,
+        NS: Fn(&E, C, It::Item) -> C + Sync,
+        NC: Fn(&NodeCtx<'_>, &PartOf<It>, Vec<PartOf<It>>, &Leaf<'_, PartOf<It>, C>) -> P + Sync,
+        RI: FnOnce(&[P]) -> A,
+        RA: FnMut(&mut A, P),
     {
-        if self.streamed() {
-            let mut results = out.results.into_iter();
-            let mut acc: Option<B> = None;
-            let (merge_end, merge_busy, spans) = streamed_merge_clock(&out.arrivals, |_| {
-                let r = results.next().expect("one result per task");
-                acc = Some(match acc.take() {
-                    None => r,
-                    Some(a) => merge(a, r),
-                });
-            });
-            let value = acc.unwrap_or_else(empty);
-            let end_s = out.timing.total_s.max(merge_end);
-            let trace =
-                self.skeleton_trace_streamed(name, Some(root_prep_s), out.trace, end_s, &spans);
-            Run::new(
-                value,
-                RunStats::overlapped(out.timing, root_prep_s + merge_busy, root_prep_s + end_s),
-            )
-            .with_trace(trace)
-        } else {
-            let t1 = Instant::now();
-            let value = out.results.into_iter().reduce(merge).unwrap_or_else(empty);
-            let root_merge_s = t1.elapsed().as_secs_f64();
-            let trace = self.skeleton_trace(
-                name,
-                Some(root_prep_s),
-                out.trace,
-                out.timing.total_s,
-                Some(root_merge_s),
-            );
-            Run::new(value, RunStats::from_dist(out.timing, root_prep_s + root_merge_s))
-                .with_trace(trace)
-        }
+        let NodeSide { init, step, combine, spans } = node;
+        let (init, step) = (&init, &step);
+        // Node side of every distributed task: split the part across the
+        // node's threads, fold each chunk through `leaf`, combine.
+        let run_part = |ctx: &NodeCtx<'_>, part: &PartOf<It>, leaf: &Leaf<'_, PartOf<It>, C>| {
+            combine(ctx, part, part.split(ctx.threads() * CHUNKS_PER_THREAD), leaf)
+        };
+        let run_part = &run_part;
+        // Root side: the environment is packed at most once per call; every
+        // task shares the buffer, and the cluster charges its transport per
+        // broadcast edge rather than per task.
+        let pack_env = || {
+            let t0 = Instant::now();
+            let payload = env.payload(self.cluster.stats());
+            (payload, t0.elapsed().as_secs_f64())
+        };
+
+        let (tasks, env_bytes, root_prep_s): (Vec<RawTask<'_, P>>, usize, f64) = match input {
+            DistInput::Resident(run) => {
+                let (penv, root_prep_s) = pack_env();
+                let id = run.id;
+                let tasks = run
+                    .parts
+                    .into_iter()
+                    .map(|p| {
+                        let penv = penv.clone();
+                        RawTask {
+                            wire_bytes: 0, // the descriptor is control-plane
+                            pack_s: 0.0,
+                            resident: Some(ResidentSpec {
+                                id,
+                                home: p.home,
+                                seg_bytes: p.seg_bytes,
+                                halo_bytes: p.halo_bytes,
+                            }),
+                            work: Box::new(move |ctx: &NodeCtx<'_>| {
+                                let env: E = unpack_on(ctx, spans.env, || {
+                                    penv.unpack().expect("environment roundtrip")
+                                });
+                                let leaf = |chunk: &PartOf<It>| {
+                                    let mut acc = Some(init(chunk));
+                                    (p.fold)(chunk, &mut |x| {
+                                        let a = acc.take().expect("accumulator present");
+                                        acc = Some(step(&env, a, x));
+                                    });
+                                    acc.expect("accumulator present")
+                                };
+                                run_part(ctx, &p.part, &leaf)
+                            }),
+                        }
+                    })
+                    .collect();
+                (tasks, penv.len(), root_prep_s)
+            }
+            DistInput::Iter(it) => match it.hint() {
+                ParHint::Sequential => {
+                    let t0 = Instant::now();
+                    let whole = it.outer_domain().whole_part();
+                    let leaf = iter_leaf(&it, env.value(), init, step);
+                    let ctx = NodeCtx::new(0, 1, ExecMode::Virtual, None);
+                    let value =
+                        root.finish(vec![combine(&ctx, &whole, vec![whole.clone()], &leaf)]);
+                    let total_s = t0.elapsed().as_secs_f64();
+                    return Run::new(value, RunStats::local(total_s))
+                        .with_trace(self.local_trace(name, total_s));
+                }
+                ParHint::LocalPar => {
+                    // No node boundary: use the environment in place.
+                    let env = env.value();
+                    let whole = it.outer_domain().whole_part();
+                    let out = self.cluster.run_raw(
+                        vec![RawTask {
+                            wire_bytes: 0, // local execution: nothing ships
+                            pack_s: 0.0,
+                            resident: None,
+                            work: Box::new(move |ctx: &NodeCtx<'_>| {
+                                run_part(ctx, &whole, &iter_leaf(&it, env, init, step))
+                            }),
+                        }],
+                        0,
+                    );
+                    let trace =
+                        self.skeleton_trace(name, None, out.trace, out.timing.total_s, None);
+                    return Run::new(
+                        root.finish(out.results),
+                        RunStats::from_dist(out.timing, 0.0),
+                    )
+                    .with_trace(trace);
+                }
+                ParHint::Par => {
+                    let (penv, root_prep_s) = pack_env();
+                    // Slicing each node's data is measured per task into
+                    // `pack_s`, so the streamed dispatcher can overlap task
+                    // k+1's slice with task k's compute.
+                    let tasks = it
+                        .outer_domain()
+                        .split_parts(self.nodes())
+                        .into_iter()
+                        .map(|part| {
+                            let tp = Instant::now();
+                            let sub = it.slice_outer(&part);
+                            let wire_bytes = sub.source_bytes() + part.packed_size();
+                            let pack_s = tp.elapsed().as_secs_f64();
+                            let penv = penv.clone();
+                            RawTask {
+                                wire_bytes,
+                                pack_s,
+                                resident: None,
+                                work: Box::new(move |ctx: &NodeCtx<'_>| {
+                                    // Node side: data arrives as bytes.
+                                    let sub = unpack_on(ctx, spans.slice, || sub.roundtrip());
+                                    let env: E = unpack_on(ctx, spans.env, || {
+                                        penv.unpack().expect("environment roundtrip")
+                                    });
+                                    let leaf = iter_leaf(&sub, &env, init, step);
+                                    run_part(ctx, &part, &leaf)
+                                }),
+                            }
+                        })
+                        .collect();
+                    (tasks, penv.len(), root_prep_s)
+                }
+            },
+        };
+        let out = self.cluster.run_raw(tasks, env_bytes);
+        self.epilogue(name, root_prep_s, out, root)
     }
 
-    /// Concatenate ordered per-task fragments at the root (build_vec-style
-    /// assembly): streamed extension or lump concatenation — identical
-    /// bytes either way, since fragments extend in task order.
-    ///
-    /// Fragments arrive as [`PodView`]s: for pod element types the root-side
-    /// unpack aliased the received buffer, so the only copy left is this
-    /// merge's `extend_from_slice` into the final vector.
-    fn concat_epilogue<U>(
+    /// Fold the partials at the root in task order: each the moment it is
+    /// unpacked under the streamed pipeline, in one lump after the barrier.
+    /// Either way the value is identical.
+    fn epilogue<P, A>(
         &self,
         name: &str,
         root_prep_s: f64,
-        out: DistOutcome<PodView<U>>,
-    ) -> Run<Vec<U>>
-    where
-        U: Wire + Send + Sync + Clone,
-    {
+        out: DistOutcome<P>,
+        root: RootSide<impl FnOnce(&[P]) -> A, impl FnMut(&mut A, P)>,
+    ) -> Run<A> {
         if self.streamed() {
-            let total: usize = out.results.iter().map(PodView::len).sum();
-            let mut frags = out.results.into_iter();
-            let mut value = Vec::with_capacity(total);
+            let RootSide { init, mut absorb } = root;
+            let mut value = init(&out.results);
+            let mut partials = out.results.into_iter();
             let (merge_end, merge_busy, spans) = streamed_merge_clock(&out.arrivals, |_| {
-                value.extend_from_slice(&frags.next().expect("one fragment per task"));
+                absorb(&mut value, partials.next().expect("one partial per task"));
             });
             let end_s = out.timing.total_s.max(merge_end);
             let trace =
@@ -401,11 +506,7 @@ impl Triolet {
             .with_trace(trace)
         } else {
             let t1 = Instant::now();
-            let total: usize = out.results.iter().map(PodView::len).sum();
-            let mut value = Vec::with_capacity(total);
-            for frag in out.results {
-                value.extend_from_slice(&frag);
-            }
+            let value = root.finish(out.results);
             let root_merge_s = t1.elapsed().as_secs_f64();
             let trace = self.skeleton_trace(
                 name,
@@ -476,6 +577,9 @@ impl Triolet {
 
     /// [`Triolet::fold_reduce`] with an explicit skeleton name, so derived
     /// consumers label their traces `skeleton:sum`, `skeleton:histogram`, …
+    ///
+    /// Each chunk folds from `seed()`; a node merges its chunks' partials
+    /// in chunk order and the root merges the nodes' partials in task order.
     fn fold_reduce_named<It, E, B, Seed, Step, Merge>(
         &self,
         name: &str,
@@ -493,175 +597,24 @@ impl Triolet {
         Step: Fn(&E, B, It::Item) -> B + Send + Sync,
         Merge: Fn(B, B) -> B + Send + Sync,
     {
-        let it = match input {
-            DistInput::Resident(run) => {
-                return self.fold_reduce_resident(name, run, env, seed, step, merge);
-            }
-            DistInput::Iter(it) => it,
+        let node = node_side(
+            |_: &PartOf<It>| seed(),
+            step,
+            |ctx, _, chunks, leaf| {
+                ctx.map_reduce_chunks(chunks, leaf, &merge).unwrap_or_else(&seed)
+            },
+            UnpackSpans { slice: false, env: false },
+        );
+        let root = RootSide {
+            init: |_: &[B]| None,
+            absorb: |acc: &mut Option<B>, b: B| {
+                *acc = Some(match acc.take() {
+                    None => b,
+                    Some(a) => merge(a, b),
+                });
+            },
         };
-        match it.hint() {
-            ParHint::Sequential => {
-                let env = env.value();
-                let t0 = Instant::now();
-                let dom = it.outer_domain();
-                let mut g = |b: B, x: It::Item| step(env, b, x);
-                let out = it.fold_outer_part(&dom.whole_part(), seed(), &mut g);
-                let total_s = t0.elapsed().as_secs_f64();
-                Run::new(out, RunStats::local(total_s)).with_trace(self.local_trace(name, total_s))
-            }
-            ParHint::LocalPar => {
-                // No node boundary: use the environment in place.
-                let env = env.value();
-                let dom = it.outer_domain();
-                let chunks = dom.whole_part().split(self.threads_per_node() * CHUNKS_PER_THREAD);
-                let out = self.cluster.run_raw(vec![RawTask {
-                    wire_bytes: 0, // local execution: nothing ships
-                    pack_s: 0.0,
-                    resident: None,
-                    work: Box::new(move |ctx: &NodeCtx<'_>| {
-                        ctx.map_reduce_chunks(
-                            chunks,
-                            |chunk| {
-                                let mut g = |b: B, x: It::Item| step(env, b, x);
-                                it.fold_outer_part(chunk, seed(), &mut g)
-                            },
-                            &merge,
-                        )
-                        .unwrap_or_else(&seed)
-                    }),
-                }]);
-                let trace = self.skeleton_trace(name, None, out.trace, out.timing.total_s, None);
-                let mut results = out.results;
-                let value = results.pop().expect("one local task");
-                Run::new(value, RunStats::from_dist(out.timing, 0.0)).with_trace(trace)
-            }
-            ParHint::Par => {
-                let dom = it.outer_domain();
-                let parts = dom.split_parts(self.nodes());
-                // Root side: the environment is packed at most once here
-                // (charged as root prep); every task shares the buffer, and
-                // the cluster charges its transport per broadcast edge
-                // rather than per task. Slicing each node's data (paper
-                // §3.5) is measured per task into `pack_s`, so the streamed
-                // dispatcher can overlap task k+1's slice/pack with task
-                // k's compute.
-                let t0 = Instant::now();
-                let env_payload = env.payload(self.cluster.stats());
-                let env_bytes = env_payload.len();
-                let root_prep_s = t0.elapsed().as_secs_f64();
-                let tasks: Vec<RawTask<'_, B>> = parts
-                    .into_iter()
-                    .map(|part| {
-                        let tp = Instant::now();
-                        let sub = it.slice_outer(&part);
-                        let wire_bytes = sub.source_bytes() + part.packed_size();
-                        let pack_s = tp.elapsed().as_secs_f64();
-                        let penv = env_payload.clone();
-                        let seed = &seed;
-                        let step = &step;
-                        let merge = &merge;
-                        RawTask {
-                            wire_bytes,
-                            pack_s,
-                            resident: None,
-                            work: Box::new(move |ctx: &NodeCtx<'_>| {
-                                // Node side: data arrives as bytes.
-                                let sub = ctx.sequential(|| sub.roundtrip());
-                                let env: E = ctx
-                                    .sequential(|| penv.unpack().expect("environment roundtrip"));
-                                let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-                                ctx.map_reduce_chunks(
-                                    chunks,
-                                    |chunk| {
-                                        let mut g = |b: B, x: It::Item| step(&env, b, x);
-                                        sub.fold_outer_part(chunk, seed(), &mut g)
-                                    },
-                                    merge,
-                                )
-                                .unwrap_or_else(seed)
-                            }),
-                        }
-                    })
-                    .collect();
-                let out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
-                self.fold_epilogue(name, root_prep_s, out, &seed, &merge)
-            }
-        }
-    }
-
-    /// The resident dispatch arm: one task per [`ResidentPart`], sent to the
-    /// rank already holding that part's segment. Tasks declare zero wire
-    /// bytes (the descriptor is control-plane); the environment still
-    /// broadcasts, and a crash that forces a task off its home rank re-ships
-    /// the segment (counted by the cluster as a `dist:resident-miss`).
-    ///
-    /// Each part splits into the same chunks the shipped path would use
-    /// (`part.split(threads × CHUNKS_PER_THREAD)` depends only on the index
-    /// range), and partials merge in chunk then task order — so resident
-    /// results are bit-identical to re-broadcast results.
-    fn fold_reduce_resident<T, E, B, Seed, Step, Merge>(
-        &self,
-        name: &str,
-        run: ResidentRun<T>,
-        env: EnvArg<'_, E>,
-        seed: Seed,
-        step: Step,
-        merge: Merge,
-    ) -> Run<B>
-    where
-        E: Wire + Send + Sync,
-        B: Wire + Send,
-        Seed: Fn() -> B + Send + Sync,
-        Step: Fn(&E, B, T) -> B + Send + Sync,
-        Merge: Fn(B, B) -> B + Send + Sync,
-    {
-        let t0 = Instant::now();
-        let env_payload = env.payload(self.cluster.stats());
-        let env_bytes = env_payload.len();
-        let root_prep_s = t0.elapsed().as_secs_f64();
-        let id = run.id;
-        let tasks: Vec<RawTask<'_, B>> = run
-            .parts
-            .into_iter()
-            .map(|p| {
-                let penv = env_payload.clone();
-                let fold = p.fold;
-                let part = p.part;
-                let seed = &seed;
-                let step = &step;
-                let merge = &merge;
-                RawTask {
-                    wire_bytes: 0,
-                    pack_s: 0.0,
-                    resident: Some(ResidentSpec {
-                        id,
-                        home: p.home,
-                        seg_bytes: p.seg_bytes,
-                        halo_bytes: p.halo_bytes,
-                    }),
-                    work: Box::new(move |ctx: &NodeCtx<'_>| {
-                        let env: E =
-                            ctx.sequential(|| penv.unpack().expect("environment roundtrip"));
-                        let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-                        ctx.map_reduce_chunks(
-                            chunks,
-                            |chunk| {
-                                let mut acc = Some(seed());
-                                fold(chunk.start, chunk.len, &mut |x| {
-                                    let a = acc.take().expect("accumulator present");
-                                    acc = Some(step(&env, a, x));
-                                });
-                                acc.expect("accumulator present")
-                            },
-                            merge,
-                        )
-                        .unwrap_or_else(seed)
-                    }),
-                }
-            })
-            .collect();
-        let out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
-        self.fold_epilogue(name, root_prep_s, out, &seed, &merge)
+        self.distribute(name, input, env, node, root).map(|acc| acc.unwrap_or_else(&seed))
     }
 
     // ======================================================================
@@ -865,148 +818,22 @@ impl Triolet {
         U: Wire + Send + Sync + Clone,
         F: Fn(&E, It::Item) -> U + Send + Sync,
     {
-        fn node_fragment<It, E, U>(
-            ctx: &NodeCtx<'_>,
-            sub: &It,
-            env: &E,
-            part: &SeqPart,
-            f: &(impl Fn(&E, It::Item) -> U + Send + Sync),
-        ) -> Vec<U>
-        where
-            It: DistIter<OuterDom = Seq>,
-            U: Send,
-            E: Sync,
-        {
-            let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-            let pieces = ctx.map_chunks(chunks, |chunk| {
-                let mut v = Vec::with_capacity(chunk.count());
-                sub.fold_outer_part(chunk, (), &mut |(), x| v.push(f(env, x)));
+        let node = node_side(
+            chunk_vec,
+            |env, mut v: Vec<U>, x| {
+                v.push(f(env, x));
                 v
-            });
-            // Concatenate in chunk order (sequential packing on the node).
-            ctx.sequential(|| {
-                let total = pieces.iter().map(Vec::len).sum();
-                let mut out = Vec::with_capacity(total);
-                for p in pieces {
-                    out.extend(p);
-                }
-                out
-            })
-        }
-
-        let it = match input {
-            DistInput::Resident(run) => {
-                // Resident assembly: each home rank materializes its part's
-                // fragment in place; only fragments travel back.
-                let t0 = Instant::now();
-                let env_payload = env.payload(self.cluster.stats());
-                let env_bytes = env_payload.len();
-                let root_prep_s = t0.elapsed().as_secs_f64();
-                let id = run.id;
-                let f = &f;
-                let tasks: Vec<RawTask<'_, PodView<U>>> = run
-                    .parts
-                    .into_iter()
-                    .map(|p| {
-                        let penv = env_payload.clone();
-                        let fold = p.fold;
-                        let part = p.part;
-                        RawTask {
-                            wire_bytes: 0,
-                            pack_s: 0.0,
-                            resident: Some(ResidentSpec {
-                                id,
-                                home: p.home,
-                                seg_bytes: p.seg_bytes,
-                                halo_bytes: p.halo_bytes,
-                            }),
-                            work: Box::new(move |ctx: &NodeCtx<'_>| {
-                                let env: E = ctx.unpack_sequential(|| {
-                                    penv.unpack().expect("environment roundtrip")
-                                });
-                                let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-                                let pieces = ctx.map_chunks(chunks, |chunk| {
-                                    let mut v = Vec::with_capacity(chunk.count());
-                                    fold(chunk.start, chunk.len, &mut |x| v.push(f(&env, x)));
-                                    v
-                                });
-                                ctx.sequential(|| {
-                                    let total = pieces.iter().map(Vec::len).sum();
-                                    let mut out = Vec::with_capacity(total);
-                                    for piece in pieces {
-                                        out.extend(piece);
-                                    }
-                                    PodView::from_vec(out)
-                                })
-                            }),
-                        }
-                    })
-                    .collect();
-                let out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
-                return self.concat_epilogue("build_vec", root_prep_s, out);
-            }
-            DistInput::Iter(it) => it,
-        };
-        let dom = it.outer_domain();
-        match it.hint() {
-            ParHint::Sequential => {
-                let env = env.value();
-                let t0 = Instant::now();
-                let mut out = Vec::with_capacity(dom.count());
-                it.fold_outer_part(&dom.whole_part(), (), &mut |(), x| out.push(f(env, x)));
-                let total_s = t0.elapsed().as_secs_f64();
-                Run::new(out, RunStats::local(total_s))
-                    .with_trace(self.local_trace("build_vec", total_s))
-            }
-            ParHint::LocalPar => {
-                let env = env.value();
-                let part = dom.whole_part();
-                let f = &f;
-                let out = self.cluster.run_raw(vec![RawTask {
-                    wire_bytes: 0,
-                    pack_s: 0.0,
-                    resident: None,
-                    work: Box::new(move |ctx: &NodeCtx<'_>| node_fragment(ctx, &it, env, &part, f)),
-                }]);
-                let trace =
-                    self.skeleton_trace("build_vec", None, out.trace, out.timing.total_s, None);
-                let mut results = out.results;
-                let value = results.pop().expect("one local task");
-                Run::new(value, RunStats::from_dist(out.timing, 0.0)).with_trace(trace)
-            }
-            ParHint::Par => {
-                let parts = dom.split_parts(self.nodes());
-                let t0 = Instant::now();
-                let env_payload = env.payload(self.cluster.stats());
-                let env_bytes = env_payload.len();
-                let root_prep_s = t0.elapsed().as_secs_f64();
-                let f = &f;
-                let tasks: Vec<RawTask<'_, PodView<U>>> = parts
-                    .into_iter()
-                    .map(|part| {
-                        let tp = Instant::now();
-                        let sub = it.slice_outer(&part);
-                        let wire_bytes = sub.source_bytes() + part.packed_size();
-                        let pack_s = tp.elapsed().as_secs_f64();
-                        let penv = env_payload.clone();
-                        RawTask {
-                            wire_bytes,
-                            pack_s,
-                            resident: None,
-                            work: Box::new(move |ctx: &NodeCtx<'_>| {
-                                let sub = ctx.unpack_sequential(|| sub.roundtrip());
-                                let env: E = ctx.unpack_sequential(|| {
-                                    penv.unpack().expect("environment roundtrip")
-                                });
-                                PodView::from_vec(node_fragment(ctx, &sub, &env, &part, f))
-                            }),
-                        }
-                    })
-                    .collect();
-                let out = self.cluster.run_raw_with_broadcast(tasks, env_bytes);
-                self.concat_epilogue("build_vec", root_prep_s, out)
-            }
-        }
+            },
+            concat_chunks,
+            UnpackSpans { slice: true, env: true },
+        );
+        self.distribute(
+            "build_vec",
+            input,
+            env,
+            node,
+            RootSide { init: concat_init, absorb: concat_absorb },
+        )
     }
 
     /// Materialize a 3-D iterator into a dense grid (cutcp-style outputs
@@ -1021,224 +848,198 @@ impl Triolet {
         It::Item: Wire + Send + Sync + Clone,
     {
         let dom = it.outer_domain();
-        match it.hint() {
-            ParHint::Sequential => {
-                let t0 = Instant::now();
-                let mut data = Vec::with_capacity(dom.count());
-                it.fold_outer_part(&dom.whole_part(), (), &mut |(), x| data.push(x));
-                let total_s = t0.elapsed().as_secs_f64();
-                Run::new(triolet_iter::Array3::from_vec(data, dom), RunStats::local(total_s))
-                    .with_trace(self.local_trace("build_array3", total_s))
-            }
-            ParHint::LocalPar | ParHint::Par => {
-                let parts = if it.hint() == ParHint::Par {
-                    dom.split_parts(self.nodes())
-                } else {
-                    vec![dom.whole_part()]
-                };
-                let local = it.hint() == ParHint::LocalPar;
-                let t0 = Instant::now();
-                let tasks: Vec<RawTask<'_, PodView<It::Item>>> = parts
-                    .into_iter()
-                    .map(|part| {
-                        let tp = Instant::now();
-                        let sub = it.slice_outer(&part);
-                        let wire_bytes =
-                            if local { 0 } else { sub.source_bytes() + part.packed_size() };
-                        let pack_s = if local { 0.0 } else { tp.elapsed().as_secs_f64() };
-                        RawTask {
-                            wire_bytes,
-                            pack_s,
-                            resident: None,
-                            work: Box::new(move |ctx: &NodeCtx<'_>| {
-                                let sub = if local {
-                                    sub
-                                } else {
-                                    ctx.unpack_sequential(|| sub.roundtrip())
-                                };
-                                let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-                                let pieces = ctx.map_chunks(chunks, |chunk| {
-                                    let mut v = Vec::with_capacity(chunk.count());
-                                    sub.fold_outer_part(chunk, (), &mut |(), x| v.push(x));
-                                    v
-                                });
-                                ctx.sequential(|| {
-                                    let total = pieces.iter().map(Vec::len).sum();
-                                    let mut out = Vec::with_capacity(total);
-                                    for p in pieces {
-                                        out.extend(p);
-                                    }
-                                    PodView::from_vec(out)
-                                })
-                            }),
-                        }
-                    })
-                    .collect();
-                let root_prep_s =
-                    t0.elapsed().as_secs_f64() - tasks.iter().map(|t| t.pack_s).sum::<f64>();
-                let out = self.cluster.run_raw(tasks);
-                self.concat_epilogue("build_array3", root_prep_s, out)
-                    .map(|data| triolet_iter::Array3::from_vec(data, dom))
-            }
-        }
+        let node =
+            node_side(chunk_vec, push_item, concat_chunks, UnpackSpans { slice: true, env: false });
+        self.distribute(
+            "build_array3",
+            DistInput::Iter(it),
+            EnvArg::Plain(&()),
+            node,
+            RootSide { init: concat_init, absorb: concat_absorb },
+        )
+        .map(|data| triolet_iter::Array3::from_vec(data, dom))
     }
 
     /// Materialize a 2-D iterator into a dense matrix (sgemm's output
     /// assembly): nodes compute rectangular blocks, the root places them.
+    /// Blocks land at disjoint coordinates, so placing each as it arrives is
+    /// byte-identical to placing them all at the end.
     pub fn build_array2<It>(&self, it: It) -> Run<Array2<It::Item>>
     where
         It: DistIter<OuterDom = Dim2>,
         It::Item: Wire + Send + Sync + Clone + Default,
     {
-        /// Compute one block's row-major contents from ordered chunk pieces.
-        fn assemble_block<It>(
-            ctx: &NodeCtx<'_>,
-            sub: &It,
-            part: &triolet_domain::Dim2Part,
-        ) -> Vec<It::Item>
-        where
-            It: DistIter<OuterDom = Dim2>,
-            It::Item: Send + Clone + Default,
-        {
-            let chunks = part.split(ctx.threads() * CHUNKS_PER_THREAD);
-            let pieces = ctx.map_chunks(chunks.clone(), |chunk| {
-                let mut v = Vec::with_capacity(chunk.count());
-                sub.fold_outer_part(chunk, (), &mut |(), x| v.push(x));
-                v
-            });
-            // Place chunk pieces into the block (sequential on the node).
-            ctx.sequential(|| {
-                let mut block = vec![It::Item::default(); part.count()];
-                for (chunk, piece) in chunks.iter().zip(pieces) {
-                    for (k, x) in piece.into_iter().enumerate() {
-                        let (r, c) = chunk.index_at(k);
-                        let local = (r - part.row0) * part.cols + (c - part.col0);
-                        block[local] = x;
-                    }
-                }
-                block
-            })
-        }
-
-        /// Place one row-major block at its part's coordinates with row-wise
-        /// slice copies (no per-element index arithmetic).
-        fn place_block<T: Clone>(
-            result: &mut Array2<T>,
-            result_cols: usize,
-            part: &triolet_domain::Dim2Part,
-            block: &[T],
-        ) {
-            let data = result.as_mut_slice();
-            for rr in 0..part.rows {
-                let src = &block[rr * part.cols..(rr + 1) * part.cols];
-                let d0 = (part.row0 + rr) * result_cols + part.col0;
-                data[d0..d0 + part.cols].clone_from_slice(src);
-            }
-        }
-
         let dom = it.outer_domain();
-        match it.hint() {
-            ParHint::Sequential => {
-                // Elements arrive in row-major order; fill directly.
-                let t0 = Instant::now();
-                let mut data = Vec::with_capacity(dom.count());
-                it.fold_outer_part(&dom.whole_part(), (), &mut |(), x| data.push(x));
-                let total_s = t0.elapsed().as_secs_f64();
-                Run::new(Array2::from_vec(data, dom.rows, dom.cols), RunStats::local(total_s))
-                    .with_trace(self.local_trace("build_array2", total_s))
-            }
-            ParHint::LocalPar => {
-                let part = dom.whole_part();
-                let out = self.cluster.run_raw(vec![RawTask {
-                    wire_bytes: 0,
-                    pack_s: 0.0,
-                    resident: None,
-                    work: Box::new(move |ctx: &NodeCtx<'_>| assemble_block(ctx, &it, &part)),
-                }]);
-                let trace =
-                    self.skeleton_trace("build_array2", None, out.trace, out.timing.total_s, None);
-                let mut results = out.results;
-                let data = results.pop().expect("one local task");
-                Run::new(
-                    Array2::from_vec(data, dom.rows, dom.cols),
-                    RunStats::from_dist(out.timing, 0.0),
-                )
-                .with_trace(trace)
-            }
-            ParHint::Par => {
-                let parts = dom.split_parts(self.nodes());
-                let t0 = Instant::now();
-                let tasks: Vec<RawTask<'_, (triolet_domain::Dim2Part, PodView<It::Item>)>> = parts
-                    .into_iter()
-                    .map(|part| {
-                        let tp = Instant::now();
-                        let sub = it.slice_outer(&part);
-                        let wire_bytes = sub.source_bytes() + part.packed_size();
-                        let pack_s = tp.elapsed().as_secs_f64();
-                        RawTask {
-                            wire_bytes,
-                            pack_s,
-                            resident: None,
-                            work: Box::new(move |ctx: &NodeCtx<'_>| {
-                                let sub = ctx.unpack_sequential(|| sub.roundtrip());
-                                let block = assemble_block(ctx, &sub, &part);
-                                (part, PodView::from_vec(block))
-                            }),
+        let node = node_side(
+            chunk_vec,
+            push_item,
+            |ctx, part: &Dim2Part, chunks, leaf| {
+                let pieces = ctx.map_chunks(chunks.clone(), leaf);
+                // Place chunk pieces into the block (sequential on the node).
+                let block = ctx.sequential(|| {
+                    let mut block = vec![It::Item::default(); part.count()];
+                    for (chunk, piece) in chunks.iter().zip(pieces) {
+                        for (k, x) in piece.into_iter().enumerate() {
+                            let (r, c) = chunk.index_at(k);
+                            block[(r - part.row0) * part.cols + (c - part.col0)] = x;
                         }
-                    })
-                    .collect();
-                let root_prep_s =
-                    t0.elapsed().as_secs_f64() - tasks.iter().map(|t| t.pack_s).sum::<f64>();
-                let out = self.cluster.run_raw(tasks);
-                if self.streamed() {
-                    // Blocks land at disjoint coordinates, so placing each
-                    // as it arrives is byte-identical to the lump placement.
-                    let mut blocks = out.results.into_iter();
-                    let mut result = Array2::zeros(dom.rows, dom.cols);
-                    let (merge_end, merge_busy, spans) =
-                        streamed_merge_clock(&out.arrivals, |_| {
-                            let (part, block) = blocks.next().expect("one block per task");
-                            place_block(&mut result, dom.cols, &part, &block);
-                        });
-                    let end_s = out.timing.total_s.max(merge_end);
-                    let trace = self.skeleton_trace_streamed(
-                        "build_array2",
-                        Some(root_prep_s),
-                        out.trace,
-                        end_s,
-                        &spans,
-                    );
-                    Run::new(
-                        result,
-                        RunStats::overlapped(
-                            out.timing,
-                            root_prep_s + merge_busy,
-                            root_prep_s + end_s,
-                        ),
-                    )
-                    .with_trace(trace)
-                } else {
-                    let t1 = Instant::now();
-                    let mut result = Array2::zeros(dom.rows, dom.cols);
-                    for (part, block) in out.results {
-                        place_block(&mut result, dom.cols, &part, &block);
                     }
-                    let root_merge_s = t1.elapsed().as_secs_f64();
-                    let trace = self.skeleton_trace(
-                        "build_array2",
-                        Some(root_prep_s),
-                        out.trace,
-                        out.timing.total_s,
-                        Some(root_merge_s),
-                    );
-                    Run::new(result, RunStats::from_dist(out.timing, root_prep_s + root_merge_s))
-                        .with_trace(trace)
+                    block
+                });
+                (*part, PodView::from_vec(block))
+            },
+            UnpackSpans { slice: true, env: false },
+        );
+        let root = RootSide {
+            init: |_: &[(Dim2Part, PodView<It::Item>)]| Array2::zeros(dom.rows, dom.cols),
+            absorb: |m: &mut Array2<It::Item>, (part, block): (Dim2Part, PodView<It::Item>)| {
+                // Row-wise slice copies, no per-element index arithmetic.
+                let data = m.as_mut_slice();
+                for rr in 0..part.rows {
+                    let d0 = (part.row0 + rr) * dom.cols + part.col0;
+                    data[d0..d0 + part.cols]
+                        .clone_from_slice(&block[rr * part.cols..(rr + 1) * part.cols]);
                 }
-            }
-        }
+            },
+        };
+        self.distribute("build_array2", DistInput::Iter(it), EnvArg::Plain(&()), node, root)
     }
 }
 
+/// Step of the identity assemblies: collect the item itself.
+fn push_item<T>(_: &(), mut v: Vec<T>, x: T) -> Vec<T> {
+    v.push(x);
+    v
+}
+
+/// The part type a distributed iterator's outer domain splits into.
+type PartOf<It> = <<It as DistIter>::OuterDom as Domain>::Part;
+
+/// A leaf: fold one chunk of a node's part into a chunk accumulator.
+type Leaf<'l, Q, C> = dyn Fn(&Q) -> C + Sync + 'l;
+
+/// Which of a node task's unpacks its trace shows as `unpack` spans. The
+/// assembly skeletons show the slice (and `build_vec` its environment); the
+/// reductions show neither.
+#[derive(Clone, Copy)]
+struct UnpackSpans {
+    slice: bool,
+    env: bool,
+}
+
+/// The node side of a skeleton: how a leaf chunk folds its items, and how a
+/// node combines its chunks into the partial it sends back.
+struct NodeSide<Init, Step, Combine> {
+    /// A fresh accumulator for one chunk.
+    init: Init,
+    /// Fold one item into a chunk accumulator.
+    step: Step,
+    /// Run the leaf over a part's chunks and combine the results.
+    combine: Combine,
+    spans: UnpackSpans,
+}
+
+/// Build a [`NodeSide`], fixing the closures' signatures.
+fn node_side<Q, E, T, C, P, Init, Step, Combine>(
+    init: Init,
+    step: Step,
+    combine: Combine,
+    spans: UnpackSpans,
+) -> NodeSide<Init, Step, Combine>
+where
+    Init: Fn(&Q) -> C + Sync,
+    Step: Fn(&E, C, T) -> C + Sync,
+    Combine: Fn(&NodeCtx<'_>, &Q, Vec<Q>, &Leaf<'_, Q, C>) -> P + Sync,
+{
+    NodeSide { init, step, combine, spans }
+}
+
+/// The root side of a skeleton: the value starts as `init(partials)` and
+/// absorbs every partial in task order.
+struct RootSide<Init, Absorb> {
+    init: Init,
+    absorb: Absorb,
+}
+
+impl<Init, Absorb> RootSide<Init, Absorb> {
+    /// Fold all `partials` into the value at once.
+    fn finish<P, A>(self, partials: Vec<P>) -> A
+    where
+        Init: FnOnce(&[P]) -> A,
+        Absorb: FnMut(&mut A, P),
+    {
+        let RootSide { init, mut absorb } = self;
+        let mut value = init(&partials);
+        for p in partials {
+            absorb(&mut value, p);
+        }
+        value
+    }
+}
+
+/// The leaf over an iterator (a shipped slice, or the local input): fold
+/// one chunk's items into a fresh accumulator.
+fn iter_leaf<'l, It, E, C>(
+    it: &'l It,
+    env: &'l E,
+    init: &'l (impl Fn(&PartOf<It>) -> C + Sync),
+    step: &'l (impl Fn(&E, C, It::Item) -> C + Sync),
+) -> impl Fn(&PartOf<It>) -> C + Sync + 'l
+where
+    It: DistIter,
+    E: Sync,
+{
+    move |chunk: &PartOf<It>| {
+        it.fold_outer_part(chunk, init(chunk), &mut |acc, x| step(env, acc, x))
+    }
+}
+
+/// A node-side unpack, shown in the node's trace as an `unpack` span when
+/// `spanned`.
+fn unpack_on<R>(ctx: &NodeCtx<'_>, spanned: bool, f: impl FnOnce() -> R) -> R {
+    if spanned {
+        ctx.unpack_sequential(f)
+    } else {
+        ctx.sequential(f)
+    }
+}
+
+/// A fresh chunk accumulator for the assembly skeletons, sized to the chunk.
+fn chunk_vec<Q: Part, U>(chunk: &Q) -> Vec<U> {
+    Vec::with_capacity(chunk.count())
+}
+
+/// Node side of the order-preserving assemblies: the node concatenates its
+/// chunks' pieces in chunk order.
+fn concat_chunks<Q: Part, U: Send>(
+    ctx: &NodeCtx<'_>,
+    _part: &Q,
+    chunks: Vec<Q>,
+    leaf: &Leaf<'_, Q, Vec<U>>,
+) -> PodView<U> {
+    let pieces = ctx.map_chunks(chunks, leaf);
+    ctx.sequential(|| {
+        let total = pieces.iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(total);
+        for p in pieces {
+            out.extend(p);
+        }
+        PodView::from_vec(out)
+    })
+}
+
+/// Root side of the order-preserving assemblies: a value sized for every
+/// fragment, ...
+fn concat_init<U>(frags: &[PodView<U>]) -> Vec<U> {
+    Vec::with_capacity(frags.iter().map(PodView::len).sum())
+}
+
+/// ... which each fragment extends in task order. For pod element types
+/// the root-side unpack aliased the received buffer, so this copy is the
+/// only one left.
+fn concat_absorb<U: Clone>(value: &mut Vec<U>, frag: PodView<U>) {
+    value.extend_from_slice(&frag);
+}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,9 +3,8 @@
 //! A [`PackedPayload`] is a value serialized exactly once into a frozen,
 //! reference-counted buffer. Cloning the payload (or taking [`bytes`]) is an
 //! `Arc` bump, never a re-serialization, so one buffer can back every
-//! per-destination send of a broadcast *and* every retransmission of a
-//! reliable send. This is the substrate for the engine's broadcast
-//! environment and the comm layer's collective hot path: the paper's runtime
+//! per-destination copy of a broadcast *and* every retransmission. This is
+//! the substrate for the engine's broadcast environment: the paper's runtime
 //! serializes a closure's captured environment once and reuses the message
 //! body for every destination rank (§3.4); re-packing per node would charge
 //! serialization time `N` times for one logical broadcast.

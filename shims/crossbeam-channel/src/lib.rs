@@ -1,16 +1,14 @@
 //! Offline shim for `crossbeam-channel`.
 //!
 //! An unbounded MPMC channel built on a mutex-protected queue with a
-//! condition variable. Disconnection semantics follow the real crate, which
-//! the cluster's failure tests depend on:
+//! condition variable. Disconnection semantics follow the real crate:
 //!
 //! * `send` fails with [`SendError`] once every receiver is dropped (a dead
-//!   peer must surface as `CommError::Disconnected`, not a hang);
+//!   peer surfaces as an error, not a hang);
 //! * `recv` fails with [`RecvError`] once every sender is dropped and the
 //!   queue has drained;
 //! * [`Receiver::recv_timeout`] distinguishes [`RecvTimeoutError::Timeout`]
-//!   from [`RecvTimeoutError::Disconnected`] — the primitive the comm
-//!   layer's ack/retry protocol is built on.
+//!   from [`RecvTimeoutError::Disconnected`].
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -5,7 +5,7 @@
 //! three versions compute the same thing.
 
 use triolet::prelude::*;
-use triolet_apps::{cutcp, mriq, sgemm, tpacf};
+use triolet_apps::{cutcp, kmeans, mriq, sgemm, tpacf};
 use triolet_baselines::{EdenRt, LowLevelRt};
 
 const SHAPES: &[(usize, usize)] = &[(1, 1), (1, 4), (2, 2), (4, 2), (8, 16)];
@@ -111,4 +111,39 @@ fn traffic_accounting_is_consistent() {
     let stats = mriq::run_triolet(&rt, &input).stats;
     let after = rt.cluster().stats().bytes();
     assert_eq!(after - before, stats.bytes_out + stats.bytes_back);
+}
+
+#[test]
+fn every_triolet_entry_point_reports_all_its_traffic() {
+    // An app's RunStats must count every byte its skeleton calls put on
+    // the wire, including the phases it chains (sgemm's transpose, tpacf's
+    // scatter, k-means' sweeps): the drift against the cluster counters is
+    // zero.
+    fn drift<T>(run: impl FnOnce(&Triolet) -> Run<T>) -> i128 {
+        let rt = Triolet::new(ClusterConfig::virtual_cluster(4, 2));
+        let before = rt.cluster().stats().bytes();
+        let stats = run(&rt).stats;
+        let moved = rt.cluster().stats().bytes() - before;
+        i128::from(stats.bytes_out + stats.bytes_back) - i128::from(moved)
+    }
+    let m = mriq::generate(64, 32, 9);
+    let s = sgemm::generate(48, 3);
+    let t = tpacf::generate(24, 3, 8, 5);
+    let c = cutcp::generate(64, 8, 7);
+    let k = kmeans::generate(256, 4, 2, 1);
+    let drifts = [
+        ("mriq", drift(|rt| mriq::run_triolet(rt, &m))),
+        ("mriq localpar", drift(|rt| mriq::run_triolet_localpar(rt, &m))),
+        ("sgemm", drift(|rt| sgemm::run_triolet(rt, &s))),
+        ("sgemm tiled", drift(|rt| sgemm::run_triolet_tiled(rt, &s))),
+        ("tpacf", drift(|rt| tpacf::run_triolet(rt, &t))),
+        ("tpacf tiled", drift(|rt| tpacf::run_triolet_tiled(rt, &t))),
+        ("cutcp", drift(|rt| cutcp::run_triolet(rt, &c))),
+        ("cutcp gather", drift(|rt| cutcp::run_triolet_gather(rt, &c))),
+        ("kmeans resident", drift(|rt| kmeans::run_resident(rt, &k))),
+        ("kmeans rebroadcast", drift(|rt| kmeans::run_rebroadcast(rt, &k))),
+    ];
+    for (name, d) in drifts {
+        assert_eq!(d, 0, "{name}: RunStats bytes minus cluster bytes");
+    }
 }

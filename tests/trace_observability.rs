@@ -46,6 +46,89 @@ fn golden_trace_structure_for_sum_on_3x2() {
     );
 }
 
+/// One traced skeleton call per dispatch shape, on a fixed 3x2 virtual
+/// cluster: the iterator paths under both hints, the resident paths, the
+/// histogram collector, and a sum recovering from drops and a crashed rank.
+fn shape_trace(shape: &str, pipeline: PipelineMode) -> TraceData {
+    let rt = |faults: FaultPlan| {
+        Triolet::new(
+            ClusterConfig::virtual_cluster(3, 2)
+                .with_trace(true)
+                .with_pipeline(pipeline)
+                .with_faults(faults),
+        )
+    };
+    let plain = rt(FaultPlan::none());
+    let xs: Vec<i64> = (0..600).collect();
+    let cell = |(r, c): (usize, usize)| (r * 100 + c) as i64;
+    let point = |(x, y, z): (usize, usize, usize)| (x * 100 + y * 10 + z) as i64;
+    match shape {
+        "build_vec_par" => plain.build_vec(from_vec(xs).par(), &(), |_, x| x * 2).trace,
+        "build_vec_localpar" => plain.build_vec(from_vec(xs).localpar(), &(), |_, x| x * 2).trace,
+        "build_array2_par" => plain.build_array2(range2d(12, 10).map(cell).par()).trace,
+        "build_array2_localpar" => plain.build_array2(range2d(12, 10).map(cell).localpar()).trace,
+        "build_array3_par" => {
+            plain.build_array3(indices(Dim3::new(6, 4, 5)).map(point).par()).trace
+        }
+        "histogram" => plain.histogram(16, range(900).map(|i: usize| i % 16).par()).trace,
+        "resident_fold_reduce" => {
+            let dv = plain.scatter(xs).value;
+            plain.fold_reduce(&dv, &3i64, || 0i64, |k, a, x| a + k * x, |a, b| a + b).trace
+        }
+        "resident_build_vec" => {
+            let dv = plain.scatter(xs).value;
+            plain.build_vec(&dv, &(), |_, x: i64| x + 1).trace
+        }
+        "sum_faults" => {
+            let plan = FaultPlan::seeded(2024)
+                .with_drop(0.2)
+                .with_crash(1)
+                .with_timeout(Duration::from_millis(1));
+            rt(plan).sum(from_vec(xs).par()).trace
+        }
+        other => panic!("unknown shape {other}"),
+    }
+}
+
+#[test]
+fn golden_trace_structure_per_shape() {
+    let shapes = [
+        "build_vec_par",
+        "build_vec_localpar",
+        "build_array2_par",
+        "build_array2_localpar",
+        "build_array3_par",
+        "histogram",
+        "resident_fold_reduce",
+        "resident_build_vec",
+        "sum_faults",
+    ];
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let mut changed = Vec::new();
+    for shape in shapes {
+        for (mode, pipeline) in
+            [("streamed", PipelineMode::Streamed), ("barrier", PipelineMode::Barrier)]
+        {
+            let got = shape_trace(shape, pipeline).canonical_lines().join("\n") + "\n";
+            let path = dir.join(format!("trace_{shape}_{mode}.txt"));
+            if std::env::var_os("UPDATE_GOLDEN").is_some() {
+                std::fs::write(&path, &got).expect("write golden");
+                continue;
+            }
+            let want = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+                panic!("{} missing — run with UPDATE_GOLDEN=1", path.display())
+            });
+            if got != want {
+                changed.push(format!("{shape}/{mode}"));
+            }
+        }
+    }
+    assert!(
+        changed.is_empty(),
+        "trace structure changed for {changed:?}; if intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
+
 #[test]
 fn traced_run_replays_identically() {
     // Virtual time + seeded routing: two identical runs must produce the
