@@ -15,7 +15,10 @@
 //!   over declared job costs), or strict priority. Selection is a pure
 //!   function of queue contents and accumulated per-tenant virtual runtime
 //!   (`f64::total_cmp`, tenant/seq tie-breaks), so the schedule of a given
-//!   submission sequence is bit-identical across runs and hosts.
+//!   submission sequence is bit-identical across runs and hosts. Every
+//!   policy orders one tenant's own jobs by submission seq, so the pick
+//!   only ever compares the oldest job of each tenant: the queue is kept
+//!   as per-tenant FIFOs, and a step costs O(tenants), not O(queued).
 //! - **A job-level virtual clock.** Skeleton jobs are gang-scheduled: each
 //!   runs over the whole cluster through the event-driven virtual-time
 //!   core, and its modeled makespan (`Run::stats.total_s`) advances the
@@ -39,7 +42,7 @@ mod policy;
 pub use policy::{SchedPolicy, Tenant};
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::Mutex;
 
@@ -264,11 +267,19 @@ struct CompletedJob {
 struct ServiceState {
     now_s: f64,
     next_seq: u64,
-    pending: VecDeque<QueuedJob>,
+    /// Queued jobs, addressed by slot; a freed slot goes on `free` and is
+    /// reused by the next admission, so the store stays one allocation
+    /// sized to the deepest backlog.
+    slots: Vec<Option<QueuedJob>>,
+    free: Vec<usize>,
+    /// Per-tenant FIFOs of slots, indexed by tenant id, each in
+    /// submission order.
+    queues: Vec<VecDeque<usize>>,
     /// Per-tenant accumulated virtual runtime (fair-share stride clock).
     vruntime: Vec<f64>,
     usage: Vec<TenantUsage>,
-    completed: Vec<Option<CompletedJob>>, // indexed by seq
+    /// Completed jobs not yet redeemed by [`JobService::wait`], by seq.
+    completed: HashMap<u64, CompletedJob>,
     order: Vec<JobId>,
     busy_s: f64,
     node_busy_s: f64,
@@ -296,6 +307,54 @@ impl ServiceState {
             self.vruntime.resize(idx + 1, floor);
         }
         &mut self.usage[idx]
+    }
+
+    fn enqueue(&mut self, job: QueuedJob) {
+        let t = job.tenant.idx();
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(job);
+                slot
+            }
+            None => {
+                self.slots.push(Some(job));
+                self.slots.len() - 1
+            }
+        };
+        if self.queues.len() <= t {
+            self.queues.resize_with(t + 1, VecDeque::new);
+        }
+        self.queues[t].push_back(slot);
+    }
+
+    /// Jobs queued across all tenants: every slot not on the free list.
+    fn queued(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Remove and return the job `policy` runs next. Each policy orders a
+    /// tenant's own jobs by seq, so its global pick is the pick among the
+    /// tenants' oldest jobs: `select` sees one head per tenant.
+    fn dequeue(&mut self, policy: &SchedPolicy) -> Option<QueuedJob> {
+        if self.queued() == 0 {
+            return None;
+        }
+        let slots = &self.slots;
+        let heads: Vec<(Tenant, u64)> = self
+            .queues
+            .iter()
+            .filter_map(VecDeque::front)
+            .map(|&slot| {
+                let job = slots[slot].as_ref().expect("a queued slot holds its job");
+                (job.tenant, job.seq)
+            })
+            .collect();
+        let vr = &self.vruntime;
+        let pick = policy.select(&heads, |t| vr.get(t.idx()).copied().unwrap_or(0.0));
+        let slot =
+            self.queues[heads[pick].0.idx()].pop_front().expect("selected tenant has a queued job");
+        self.free.push(slot);
+        self.slots[slot].take()
     }
 }
 
@@ -339,7 +398,7 @@ impl JobService {
 
     /// Jobs currently pending.
     pub fn queue_len(&self) -> usize {
-        self.lock().pending.len()
+        self.lock().queued()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ServiceState> {
@@ -399,7 +458,7 @@ impl JobService {
         count_reject: bool,
     ) -> Result<JobId, (AdmissionError, BoxedWork)> {
         let mut st = self.lock();
-        if st.pending.len() >= self.config.queue_cap {
+        if st.queued() >= self.config.queue_cap {
             let now = st.now_s;
             if count_reject {
                 st.rejected += 1;
@@ -424,7 +483,7 @@ impl JobService {
         let now = st.now_s;
         let usage = st.usage_mut(tenant);
         usage.submitted += 1;
-        st.pending.push_back(QueuedJob { seq, tenant, cost, submitted_s: now, work });
+        st.enqueue(QueuedJob { seq, tenant, cost, submitted_s: now, work });
         if self.trace.enabled() {
             self.trace.event(
                 "service:admit",
@@ -434,7 +493,7 @@ impl JobService {
                 vec![
                     ("tenant", ArgValue::U64(tenant.0 as u64)),
                     ("job", ArgValue::U64(seq)),
-                    ("queued", ArgValue::U64(st.pending.len() as u64)),
+                    ("queued", ArgValue::U64(st.queued() as u64)),
                 ],
             );
         }
@@ -449,14 +508,7 @@ impl JobService {
         let _running = self.run_lock.lock().expect("service run mutex");
         let (job, start) = {
             let mut st = self.lock();
-            if st.pending.is_empty() {
-                return None;
-            }
-            let metas: Vec<(Tenant, u64)> = st.pending.iter().map(|j| (j.tenant, j.seq)).collect();
-            let vr = &st.vruntime;
-            let idx =
-                self.config.policy.select(&metas, |t| vr.get(t.idx()).copied().unwrap_or(0.0));
-            let job = st.pending.remove(idx).expect("selected job index in range");
+            let job = st.dequeue(&self.config.policy)?;
             (job, st.now_s)
         };
 
@@ -514,11 +566,7 @@ impl JobService {
                 ],
             );
         }
-        let seq = job.seq as usize;
-        if st.completed.len() <= seq {
-            st.completed.resize_with(seq + 1, || None);
-        }
-        st.completed[seq] = Some(CompletedJob { value, report });
+        st.completed.insert(job.seq, CompletedJob { value, report });
         st.order.push(JobId(job.seq));
         Some(JobId(job.seq))
     }
@@ -552,13 +600,14 @@ impl JobService {
 
     fn take_completed(&self, id: JobId) -> Option<CompletedJob> {
         let mut st = self.lock();
-        st.completed.get_mut(id.0 as usize).and_then(Option::take)
+        st.completed.remove(&id.0)
     }
 
-    /// Scheduling record of a completed job, without consuming its value.
+    /// Scheduling record of a completed job, without consuming its value
+    /// (`None` while it is queued and once [`wait`](Self::wait) took it).
     pub fn report(&self, id: JobId) -> Option<JobReport> {
         let st = self.lock();
-        st.completed.get(id.0 as usize).and_then(|c| c.as_ref()).map(|c| c.report.clone())
+        st.completed.get(&id.0).map(|c| c.report.clone())
     }
 
     /// Per-tenant accounting, indexed by tenant id.
@@ -581,7 +630,7 @@ impl JobService {
             nodes: self.rt.nodes(),
             completed: st.order.len() as u64,
             rejected: st.rejected,
-            queued: st.pending.len(),
+            queued: st.queued(),
         }
     }
 
@@ -705,6 +754,40 @@ mod tests {
         assert!((svc.now_s() - (a.report.stats.total_s + b.report.stats.total_s)).abs() < 1e-12);
         // Queueing delay: job 1 waited for job 0's makespan.
         assert!(b.report.queue_wait_s() >= a.report.stats.total_s - 1e-12);
+    }
+
+    #[test]
+    fn completed_store_is_empty_once_every_job_is_waited() {
+        let svc = service(SchedPolicy::FairShare { weights: vec![1.0, 2.0] }, 8);
+        let handles: Vec<_> = (0..6)
+            .map(|i| svc.submit(Tenant(i % 2), 1.0, sum_job(10 + i as u64)).unwrap())
+            .collect();
+        svc.drain();
+        for h in handles {
+            let id = h.id;
+            assert!(svc.report(id).is_some(), "report available before wait");
+            svc.wait(h);
+            assert!(svc.report(id).is_none(), "wait takes the record out");
+        }
+        assert!(svc.lock().completed.is_empty());
+    }
+
+    #[test]
+    fn a_standing_backlog_reuses_freed_slots() {
+        let cap = 6;
+        let svc = service(SchedPolicy::FairShare { weights: vec![1.0, 2.0, 4.0] }, cap);
+        for i in 0..cap {
+            svc.submit(Tenant((i % 3) as u32), 1.0, sum_job(10)).unwrap();
+        }
+        for _ in 0..20 {
+            let id = svc.step().expect("backlog never drains");
+            let tenant = svc.report(id).unwrap().tenant;
+            svc.submit(tenant, 1.0, sum_job(10)).expect("a step freed a slot");
+            assert_eq!(svc.queue_len(), cap);
+        }
+        let st = svc.lock();
+        assert_eq!(st.slots.len(), cap, "the slot store never grows past the bound");
+        assert_eq!(st.queues.iter().map(VecDeque::len).sum::<usize>(), cap);
     }
 
     #[test]

@@ -82,6 +82,11 @@ impl SchedPolicy {
     /// runtime (fair share only). Deterministic: every comparison is
     /// `u64`/`u32` order or `f64::total_cmp`, ties broken by tenant id
     /// then submission seq.
+    ///
+    /// Every policy's key orders one tenant's own jobs by `seq` — Fifo by
+    /// `seq`, Priority by `(level, seq)`, FairShare by `(vruntime, tenant,
+    /// seq)` — so a caller may pass only the oldest queued job of each
+    /// tenant: the pick among those heads is the pick over the whole queue.
     pub fn select(&self, queue: &[(Tenant, u64)], vruntime: impl Fn(Tenant) -> f64) -> usize {
         assert!(!queue.is_empty(), "select on an empty queue");
         match self {
@@ -128,6 +133,100 @@ impl SchedPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pick over the whole queue, one linear scan in the order each
+    /// policy's key defines: the reference the per-tenant-head pick of the
+    /// job service is checked against.
+    fn full_scan(
+        policy: &SchedPolicy,
+        queue: &[(Tenant, u64)],
+        vruntime: impl Fn(Tenant) -> f64,
+    ) -> usize {
+        use std::cmp::Ordering;
+        let before = |a: &(Tenant, u64), b: &(Tenant, u64)| -> Ordering {
+            match policy {
+                SchedPolicy::Fifo => a.1.cmp(&b.1),
+                SchedPolicy::Priority { .. } => {
+                    policy.level_of(b.0).cmp(&policy.level_of(a.0)).then(a.1.cmp(&b.1))
+                }
+                SchedPolicy::FairShare { .. } => {
+                    vruntime(a.0).total_cmp(&vruntime(b.0)).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1))
+                }
+            }
+        };
+        let mut best = 0;
+        for (i, cand) in queue.iter().enumerate().skip(1) {
+            if before(cand, &queue[best]).is_lt() {
+                best = i;
+            }
+        }
+        best
+    }
+
+    /// The oldest queued job of each tenant, as the job service keeps them.
+    fn heads(queue: &[(Tenant, u64)]) -> Vec<(Tenant, u64)> {
+        let mut heads: Vec<(Tenant, u64)> = Vec::new();
+        for &(t, seq) in queue {
+            match heads.iter_mut().find(|h| h.0 == t) {
+                Some(h) => h.1 = h.1.min(seq),
+                None => heads.push((t, seq)),
+            }
+        }
+        heads
+    }
+
+    /// Weights only scale the vruntime charge, never the pick itself.
+    fn policy_from(sel: u64, levels: &[u32]) -> SchedPolicy {
+        match sel % 3 {
+            0 => SchedPolicy::Fifo,
+            1 => SchedPolicy::Priority { levels: levels.to_vec() },
+            _ => SchedPolicy::FairShare { weights: Vec::new() },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn pick_over_tenant_heads_matches_full_scan(
+            tenants in proptest::collection::vec(0u32..6, 1..64),
+            seq_gaps in proptest::collection::vec(1u64..4, 64),
+            shuffle in any::<u64>(),
+            policy_sel in 0u64..3,
+            levels in proptest::collection::vec(0u32..3, 0..6),
+            // Few distinct values, so vruntime ties (broken by tenant id)
+            // are common.
+            vr_steps in proptest::collection::vec(0u32..3, 6),
+        ) {
+            // Unique, increasing seqs, then a deterministic shuffle: the
+            // queue's order carries no meaning for `select`.
+            let mut seq = 0;
+            let mut queue: Vec<(Tenant, u64)> = tenants
+                .iter()
+                .zip(&seq_gaps)
+                .map(|(&t, &gap)| {
+                    seq += gap;
+                    (Tenant(t), seq)
+                })
+                .collect();
+            let mut state = shuffle | 1;
+            for i in (1..queue.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                queue.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            let policy = policy_from(policy_sel, &levels);
+            let vruntime = |t: Tenant| vr_steps[t.idx()] as f64 * 0.5;
+
+            let heads = heads(&queue);
+            let via_heads = heads[policy.select(&heads, vruntime)];
+            let oracle = queue[full_scan(&policy, &queue, vruntime)];
+            prop_assert_eq!(via_heads, oracle);
+            prop_assert_eq!(queue[policy.select(&queue, vruntime)], oracle);
+        }
+    }
 
     #[test]
     fn fifo_picks_min_seq() {
